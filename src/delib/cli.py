@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataio
@@ -146,7 +147,7 @@ def _cmd_simulate(args) -> None:
         raise FormatError(f"config is not valid JSON: {exc}") from exc
     config = LoopConfig.from_dict(raw)
     if args.seed is not None:
-        config = LoopConfig.from_dict({**raw, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     timeline = run_loop(config)
     dataio.write_timeline(timeline, args.out)
 

@@ -25,6 +25,7 @@ from .matrix import AttitudeMatrix
 from .population import (
     PopulationConfig,
     PopulationModel,
+    config_field,
     generate_population,
     ground_truth,
     sample_attitudes,
@@ -92,25 +93,26 @@ class LoopConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LoopConfig":
-        weights = raw.get("weights", {})
+        """Parse the JSON form; a missing or malformed field raises FormatError."""
+        weights = config_field(raw, "weights", lambda section: section, {})
         return cls(
-            population=PopulationConfig.from_dict(raw["population"]),
-            rounds=int(raw["rounds"]),
-            query_budget_per_round=int(raw["query_budget_per_round"]),
-            routing_policy=str(raw.get("routing_policy", "uniform")),
-            initial_ideas=int(raw.get("initial_ideas", 0)),
-            ideas_per_round=int(raw.get("ideas_per_round", 0)),
-            slate_k=int(raw.get("slate_k", 3)),
-            scoring=ScoringKind.parse(raw.get("scoring", "harmonic")),
-            slate_solver=str(raw.get("slate_solver", "auto")),
-            landscape_k=int(raw.get("landscape_k", 2)),
-            landscape_space=str(raw.get("landscape_space", "embedded")),
+            population=config_field(raw, "population", PopulationConfig.from_dict),
+            rounds=config_field(raw, "rounds", int),
+            query_budget_per_round=config_field(raw, "query_budget_per_round", int),
+            routing_policy=config_field(raw, "routing_policy", str, "uniform"),
+            initial_ideas=config_field(raw, "initial_ideas", int, 0),
+            ideas_per_round=config_field(raw, "ideas_per_round", int, 0),
+            slate_k=config_field(raw, "slate_k", int, 3),
+            scoring=ScoringKind.parse(config_field(raw, "scoring", str, "harmonic")),
+            slate_solver=config_field(raw, "slate_solver", str, "auto"),
+            landscape_k=config_field(raw, "landscape_k", int, 2),
+            landscape_space=config_field(raw, "landscape_space", str, "embedded"),
             weights=ElicitationWeights(
-                c_explore=float(weights.get("c_explore", 1.0)),
-                prior_mean=float(weights.get("prior_mean", 0.5)),
-                prior_weight=float(weights.get("prior_weight", 0.0)),
+                c_explore=config_field(weights, "c_explore", float, 1.0, where="weights."),
+                prior_mean=config_field(weights, "prior_mean", float, 0.5, where="weights."),
+                prior_weight=config_field(weights, "prior_weight", float, 0.0, where="weights."),
             ),
-            seed=int(raw.get("seed", 0)),
+            seed=config_field(raw, "seed", int, 0),
         )
 
     def to_dict(self) -> dict:
@@ -268,16 +270,17 @@ def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) 
     return ids, score_from_approvals(approvals, ids, kind), False
 
 
-def _plan_for_policy(config: LoopConfig, snap: AttitudeMatrix, round_index: int):
+def _plan_for_policy(config: LoopConfig, matrix: AttitudeMatrix, round_index: int):
+    """The round's query plan. Planners only read, so the live matrix serves."""
     seed = _derive_seed(config.seed, _TAG_PLAN, round_index)
-    active = snap.active_participants
+    active = matrix.active_participants
     budget = config.query_budget_per_round
     if config.routing_policy == "uniform":
-        return plan_uniform(snap, active, budget, seed)
+        return plan_uniform(matrix, active, budget, seed)
     if config.routing_policy == "ranking":
-        ranking = elicitation_ranking(snap, config.weights)
-        return plan_ranking_proportional(snap, ranking, active, budget, seed)
-    return plan_uncertainty(snap, active, budget, config.weights, seed=seed)
+        ranking = elicitation_ranking(matrix, config.weights)
+        return plan_ranking_proportional(matrix, ranking, active, budget, seed)
+    return plan_uncertainty(matrix, active, budget, config.weights, seed=seed)
 
 
 def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationModel,
@@ -310,7 +313,9 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     means = estimate_all_supports(snap, config.weights)
     support_mae = float(np.abs(means - truth.support).mean()) if snap.n_ideas and active else float("nan")
 
-    if snap.n_participants >= 2 and config.landscape_k <= snap.n_participants:
+    # the landscape needs a 2-d embedding: at least two participants and
+    # two ideas, and no more clusters than participants
+    if snap.n_participants >= 2 and snap.n_ideas >= 2 and config.landscape_k <= snap.n_participants:
         try:
             scape = build_landscape(
                 snap, config.landscape_k, _derive_seed(config.seed, _TAG_LANDSCAPE, round_index),
@@ -368,7 +373,7 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
     for round_index in range(1, config.rounds + 1):
         contribute_ideas(config.ideas_per_round)
 
-        plan = _plan_for_policy(config, matrix.snapshot(), round_index)
+        plan = _plan_for_policy(config, matrix, round_index)
         answers = sample_attitudes(model, plan.pairs, round_index)
         for (i, p), attitude in zip(plan.pairs, answers):
             matrix.record_attitude(i, p, attitude, served=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityError, ParameterError
+from .errors import FormatError, IdentityError, ParameterError
 from .matrix import Attitude
 
 _MASK = (1 << 63) - 1
@@ -34,11 +34,49 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng([int(e) & _MASK for e in entropy])
 
 
+_REQUIRED = object()
+
+
+def config_field(raw, key: str, convert, default=_REQUIRED, *, where: str = ""):
+    """``convert(raw[key])``, or ``default`` when the key is absent.
+
+    A missing required key, a section that is not a JSON object, or a value
+    that ``convert`` rejects raises :class:`FormatError` naming the field by
+    its dotted path (``where`` is the section prefix, e.g. ``"population."``).
+    """
+    if not isinstance(raw, dict):
+        section = where.rstrip(".")
+        raise FormatError(f"config section {section!r} must be a JSON object" if section
+                          else "config must be a JSON object")
+    name = where + key
+    if key not in raw:
+        if default is _REQUIRED:
+            raise FormatError(f"config lacks the required field {name!r}")
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"config field {name!r} has an invalid value {raw[key]!r}") from exc
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
     mean: tuple[float, ...]
     cov: float | tuple = 1.0
+
+    @classmethod
+    def from_dict(cls, raw: dict, where: str) -> "MixtureComponent":
+        def cov(value):
+            if isinstance(value, (int, float)):
+                return value
+            return tuple(tuple(float(x) for x in row) for row in value)
+
+        return cls(
+            weight=config_field(raw, "weight", float, where=where),
+            mean=config_field(raw, "mean", lambda value: tuple(float(x) for x in value), where=where),
+            cov=config_field(raw, "cov", cov, 1.0, where=where),
+        )
 
 
 @dataclass(frozen=True)
@@ -84,25 +122,26 @@ class PopulationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PopulationConfig":
+        """Parse the ``population`` section of a loop config.
+
+        A missing or malformed field raises FormatError naming it, e.g.
+        ``population.mixture[0].mean``.
+        """
+        where = "population."
         mixture = tuple(
-            MixtureComponent(
-                weight=float(c["weight"]),
-                mean=tuple(float(x) for x in c["mean"]),
-                cov=c.get("cov", 1.0) if isinstance(c.get("cov", 1.0), (int, float))
-                else tuple(tuple(float(x) for x in row) for row in c["cov"]),
-            )
-            for c in raw["mixture"]
+            MixtureComponent.from_dict(component, f"{where}mixture[{j}].")
+            for j, component in enumerate(config_field(raw, "mixture", list, where=where))
         )
         return cls(
-            n0=int(raw["n0"]),
-            approval_radius=float(raw["approval_radius"]),
-            latent_dim=int(raw.get("latent_dim", 2)),
+            n0=config_field(raw, "n0", int, where=where),
+            approval_radius=config_field(raw, "approval_radius", float, where=where),
+            latent_dim=config_field(raw, "latent_dim", int, 2, where=where),
             mixture=mixture,
-            noise_sigma=float(raw.get("noise_sigma", 0.0)),
-            arrival_rate=float(raw.get("arrival_rate", 0.0)),
-            departure_prob=float(raw.get("departure_prob", 0.0)),
-            idea_jitter=float(raw.get("idea_jitter", 0.25)),
-            seed=int(raw.get("seed", 0)),
+            noise_sigma=config_field(raw, "noise_sigma", float, 0.0, where=where),
+            arrival_rate=config_field(raw, "arrival_rate", float, 0.0, where=where),
+            departure_prob=config_field(raw, "departure_prob", float, 0.0, where=where),
+            idea_jitter=config_field(raw, "idea_jitter", float, 0.25, where=where),
+            seed=config_field(raw, "seed", int, 0, where=where),
         )
 
     def to_dict(self) -> dict:

@@ -78,6 +78,10 @@ def estimate_support(matrix: AttitudeMatrix, p: IdeaId, weights: ElicitationWeig
     that ci_low <= mean <= ci_high always holds.
     """
     approvals, responses = matrix.column_counts(p)
+    return _estimate_from_counts(p, approvals, responses, weights)
+
+
+def _estimate_from_counts(p: IdeaId, approvals: int, responses: int, weights: ElicitationWeights) -> SupportEstimate:
     denominator = responses + weights.prior_weight
     if denominator == 0:
         mean = weights.prior_mean
@@ -113,25 +117,28 @@ def _active_set(matrix: AttitudeMatrix, active) -> list[int]:
 
 
 def _unknown_by_idea(matrix: AttitudeMatrix, active: list[int]) -> list[list[int]]:
-    """Per idea, the active participants whose cell is still unknown."""
-    known = matrix.known_mask()
-    out: list[list[int]] = []
-    for p in range(matrix.n_ideas):
-        out.append([i for i in active if not known[i, p]])
-    return out
+    """Per idea, the active participants whose cell is still unknown, ascending."""
+    rows = np.asarray(active, dtype=np.intp)
+    unknown_by_idea = np.ascontiguousarray(~matrix.known_mask()[rows].T)
+    return [rows[unknown].tolist() for unknown in unknown_by_idea]
 
 
 def plan_uniform(matrix: AttitudeMatrix, active, budget: int, seed: int) -> QueryPlan:
-    """Sample unknown (participant, idea) pairs uniformly, no replacement."""
+    """Sample unknown (participant, idea) pairs uniformly, no replacement.
+
+    The pool lists the unknown cells of the active participants in
+    row-major (participant, idea) order; one seeded permutation of it
+    gives the plan's draw order.
+    """
     if budget < 0:
         raise ParameterError("budget must be non-negative")
-    usable = _active_set(matrix, active)
-    known = matrix.known_mask()
-    pool = [(i, p) for i in usable for p in range(matrix.n_ideas) if not known[i, p]]
+    rows = np.asarray(_active_set(matrix, active), dtype=np.intp)
+    pool_rows, pool_ideas = np.nonzero(~matrix.known_mask()[rows])
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(pool))
-    take = min(budget, len(pool))
-    pairs = tuple(pool[j] for j in order[:take])
+    order = rng.permutation(len(pool_rows))
+    take = min(budget, len(pool_rows))
+    chosen = order[:take]
+    pairs = tuple(zip(rows[pool_rows[chosen]].tolist(), pool_ideas[chosen].tolist()))
     return QueryPlan(pairs=pairs, policy_name="uniform", seed=seed, shortfall=budget - take)
 
 
@@ -144,6 +151,13 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     unknown. Ideas with no unknown cells left are resampled away (their
     weight is renormalized out). When no unknown pair remains the plan is
     returned short, with the shortfall recorded.
+
+    Each query makes one idea draw over the open ideas in ascending id
+    order and one participant draw over that idea's unknown cells in
+    ascending participant order. A drawn participant is removed in place,
+    keeping that order, so every later draw picks the same participant for
+    the same seed; swapping the last candidate into the hole would be
+    cheaper but would change the plans.
     """
     if budget < 0:
         raise ParameterError("budget must be non-negative")
@@ -152,29 +166,30 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
         raise ParameterError("ranking does not cover the current idea set")
     if position_weight is None:
         position_weight = lambda r: 1.0 / r
-    usable = _active_set(matrix, active)
-    available = _unknown_by_idea(matrix, usable)
+    available = _unknown_by_idea(matrix, _active_set(matrix, active))
     weights = np.zeros(matrix.n_ideas)
     for rank, p in enumerate(order, start=1):
         weights[p] = position_weight(rank)
     if np.any(weights < 0):
         raise ParameterError("position weights must be non-negative")
 
+    open_ideas = np.flatnonzero([bool(candidates) for candidates in available])
+    open_weights = weights[open_ideas]
     rng = np.random.default_rng(seed)
     pairs: list[tuple[int, int]] = []
     for _ in range(budget):
-        open_ideas = [p for p in range(matrix.n_ideas) if available[p]]
-        if not open_ideas:
+        if not open_ideas.size:
             break
-        w = weights[open_ideas]
-        total = w.sum()
+        total = open_weights.sum()
         if total <= 0:
             break
-        p = int(rng.choice(open_ideas, p=w / total))
+        k = int(rng.choice(len(open_ideas), p=open_weights / total))
+        p = int(open_ideas[k])
         candidates = available[p]
-        i = candidates[int(rng.integers(len(candidates)))]
-        candidates.remove(i)
-        pairs.append((i, p))
+        pairs.append((candidates.pop(int(rng.integers(len(candidates)))), p))
+        if not candidates:
+            open_ideas = np.delete(open_ideas, k)
+            open_weights = np.delete(open_weights, k)
     return QueryPlan(
         pairs=tuple(pairs),
         policy_name="ranking",
@@ -193,36 +208,42 @@ def plan_uncertainty(matrix: AttitudeMatrix, active, budget: int,
     discount an idea's width by the usual 1/sqrt(sample size) factor, so a
     round's budget spreads over the uncertain ideas instead of piling onto
     one of them.
+
+    As in :func:`plan_ranking_proportional`, a drawn participant is removed
+    in place so the candidates stay in ascending order and the plan stays
+    a fixed function of the seed.
     """
     if budget < 0:
         raise ParameterError("budget must be non-negative")
-    usable = _active_set(matrix, active)
-    available = _unknown_by_idea(matrix, usable)
+    available = _unknown_by_idea(matrix, _active_set(matrix, active))
     m = matrix.n_ideas
     widths = np.empty(m)
     responses = np.empty(m)
-    for p in range(m):
-        est = estimate_support(matrix, p, weights)
+    counts = zip(*(column.tolist() for column in matrix.column_counts_all()))
+    for p, (approvals, sample_size) in enumerate(counts):
+        est = _estimate_from_counts(p, approvals, sample_size, weights)
         widths[p] = est.ci_high - est.ci_low
         responses[p] = est.sample_size
+    # the discounted width of every idea that still has an unknown cell;
+    # exhausted ideas sit at -inf so argmax never returns them
+    effective = np.where([bool(candidates) for candidates in available], widths, -np.inf)
     pending = np.zeros(m)
 
     rng = np.random.default_rng(seed)
     pairs: list[tuple[int, int]] = []
-    while len(pairs) < budget:
-        best, best_width = -1, -1.0
-        for p in range(m):
-            if not available[p]:
-                continue
-            effective = widths[p] * math.sqrt((responses[p] + 1) / (responses[p] + 1 + pending[p]))
-            if effective > best_width:
-                best, best_width = p, effective
-        if best < 0:
+    while len(pairs) < budget and m:
+        best = int(effective.argmax())
+        if effective[best] == -np.inf:
             break
         candidates = available[best]
-        i = candidates.pop(int(rng.integers(len(candidates))))
+        pairs.append((candidates.pop(int(rng.integers(len(candidates)))), best))
         pending[best] += 1
-        pairs.append((i, best))
+        if candidates:
+            effective[best] = widths[best] * math.sqrt(
+                (responses[best] + 1) / (responses[best] + 1 + pending[best])
+            )
+        else:
+            effective[best] = -np.inf
     return QueryPlan(
         pairs=tuple(pairs),
         policy_name="uncertainty",

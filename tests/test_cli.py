@@ -108,8 +108,8 @@ def test_import_polis(tmp_path):
     assert out.exists()
 
 
-def test_simulate_writes_outputs(tmp_path):
-    config = {
+def simulate_config():
+    return {
         "population": {
             "n0": 6,
             "approval_radius": 3.0,
@@ -123,13 +123,44 @@ def test_simulate_writes_outputs(tmp_path):
         "landscape_k": 2,
         "seed": 4,
     }
+
+
+def run_simulate(tmp_path, config, *extra):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "run"
-    result = run_cli("simulate", "--config", str(config_path), "--out", str(out))
+    return run_cli("simulate", "--config", str(config_path), "--out", str(out), *extra), out
+
+
+def test_simulate_writes_outputs(tmp_path):
+    result, out = run_simulate(tmp_path, simulate_config())
     assert result.returncode == 0, result.stderr
     for name in ("timeline.csv", "timeline_long.csv", "summary.json"):
         assert (out / name).exists()
+
+
+def test_simulate_seed_flag_overrides_config_seed(tmp_path):
+    result, out = run_simulate(tmp_path, simulate_config(), "--seed", "9")
+    assert result.returncode == 0, result.stderr
+    assert json.loads((out / "summary.json").read_text())["seed"] == 9
+
+
+def test_simulate_missing_field_is_a_format_error(tmp_path):
+    config = simulate_config()
+    del config["rounds"]
+    result, _ = run_simulate(tmp_path, config)
+    assert result.returncode == 2
+    assert "'rounds'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_simulate_non_numeric_field_is_a_format_error(tmp_path):
+    config = simulate_config()
+    config["population"]["approval_radius"] = "wide"
+    result, _ = run_simulate(tmp_path, config)
+    assert result.returncode == 2
+    assert "'population.approval_radius'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_exit_code_format_error(tmp_path):

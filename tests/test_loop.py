@@ -193,3 +193,20 @@ def test_compare_policies_reports_all_mae_curves():
 def test_compare_policies_needs_one():
     with pytest.raises(ParameterError):
         compare_policies(small_config(), [])
+
+
+@pytest.mark.parametrize("ideas_per_round", [0, 1])
+def test_loop_runs_with_fewer_than_two_ideas(ideas_per_round):
+    # a one- or zero-idea matrix has no 2-d landscape: the round records
+    # NaN cluster recovery instead of aborting the run
+    config = LoopConfig(
+        population=PopulationConfig(n0=20, approval_radius=3.0),
+        rounds=2,
+        query_budget_per_round=10,
+        ideas_per_round=ideas_per_round,
+    )
+    timeline = run_loop(config)
+    assert len(timeline.rows) == 2
+    first = timeline.rows[0]
+    assert np.isnan(first.cluster_recovery)
+    assert first.queries_served == min(10, 20 * ideas_per_round)
