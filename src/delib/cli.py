@@ -43,17 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(dataio._round_floats(payload), indent=2) + "\n"
-    if out:
-        dataio.atomic_write_text(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_rows(header: list[str], rows, out: str | None) -> None:
-    lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         dataio.atomic_write_text(out, text)
     else:
@@ -76,10 +66,10 @@ def _cmd_slate(args) -> None:
     matrix = _load_matrix(args.input)
     slate = _solve_slate(matrix, args)
     if args.format == "csv":
-        _emit_rows(["idea"], [[p] for p in sorted(slate.ideas)], args.out)
+        _emit(dataio.csv_text(*dataio.csv_table(slate)), args.out)
         return
     violations = jr_audit(matrix, slate)
-    _emit(dataio.slate_to_dict(slate, violations), args.out)
+    _emit(dataio.json_text(dataio.slate_to_dict(slate, violations)), args.out)
 
 
 def _cmd_audit(args) -> None:
@@ -92,9 +82,9 @@ def _cmd_audit(args) -> None:
              dataio.fmt_float(v.group_share)]
             for v in violations
         ]
-        _emit_rows(["group", "witness_ideas", "group_share"], rows, args.out)
+        _emit(dataio.csv_text(["group", "witness_ideas", "group_share"], rows), args.out)
         return
-    _emit(dataio.slate_to_dict(slate, violations), args.out)
+    _emit(dataio.json_text(dataio.slate_to_dict(slate, violations)), args.out)
 
 
 def _cmd_rank(args) -> None:
@@ -107,13 +97,9 @@ def _cmd_rank(args) -> None:
         )
         ranking = elicitation_ranking(matrix, weights)
     if args.format == "csv":
-        rows = [
-            [j + 1, p, dataio.fmt_float(v)]
-            for j, (p, v) in enumerate(zip(ranking.order, ranking.provenance))
-        ]
-        _emit_rows(["position", "idea", "provenance"], rows, args.out)
+        _emit(dataio.csv_text(*dataio.csv_table(ranking)), args.out)
         return
-    _emit(dataio.ranking_to_rows(ranking), args.out)
+    _emit(dataio.json_text(dataio.ranking_to_rows(ranking)), args.out)
 
 
 def _cmd_landscape(args) -> None:
@@ -133,9 +119,9 @@ def _cmd_route(args) -> None:
     else:
         plan = plan_uncertainty(matrix, active, args.budget, seed=args.seed)
     if args.format == "csv":
-        _emit_rows(["participant", "idea"], [[i, p] for i, p in plan.pairs], args.out)
+        _emit(dataio.csv_text(*dataio.csv_table(plan)), args.out)
         return
-    _emit([[int(i), int(p)] for i, p in plan.pairs], args.out)
+    _emit(dataio.json_text([[int(i), int(p)] for i, p in plan.pairs]), args.out)
 
 
 def _cmd_simulate(args) -> None:
@@ -156,7 +142,7 @@ def _cmd_import_polis(args) -> None:
     matrix, report = dataio.import_polis_long(args.input, pass_as=args.pass_as)
     if args.out:
         dataio.export_wide_csv(matrix, args.out)
-    _emit(report.to_dict(), None)
+    _emit(dataio.json_text(report.to_dict()), None)
 
 
 def build_parser() -> argparse.ArgumentParser:

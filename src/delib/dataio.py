@@ -19,6 +19,7 @@ significant digits.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -90,19 +91,26 @@ def atomic_write_text(path, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
+def json_text(value) -> str:
+    """Indented JSON, floats rounded to nine significant digits."""
+    return json.dumps(_round_floats(value), indent=2) + "\n"
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV with ``\\n`` line ends; fields are quoted only where they must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def write_json(value, path) -> None:
-    atomic_write_text(path, json.dumps(_round_floats(value), indent=2, sort_keys=False) + "\n")
+    atomic_write_text(path, json_text(value))
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buffer.getvalue())
+    atomic_write_text(path, csv_text(header, rows))
 
 
 # -- matrix: wide format ---------------------------------------------------------
@@ -348,6 +356,20 @@ def ranking_to_rows(ranking: Ranking) -> list[dict]:
     ]
 
 
+def csv_table(value) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the CSV form of a slate, ranking, plan or timeline."""
+    if isinstance(value, Slate):
+        return ["idea"], [[str(p)] for p in sorted(value.ideas)]
+    if isinstance(value, Ranking):
+        rows = [[str(j + 1), str(p), fmt_float(v)] for j, (p, v) in enumerate(zip(value.order, value.provenance))]
+        return ["position", "idea", "provenance"], rows
+    if isinstance(value, QueryPlan):
+        return ["participant", "idea"], [[str(i), str(p)] for i, p in value.pairs]
+    if isinstance(value, MetricsTimeline):
+        return ["round", "metric", "value"], [[str(r), name, fmt_float(v)] for r, name, v in value.to_long_rows()]
+    raise ParameterError(f"cannot serialize values of type {type(value).__name__}")
+
+
 def plan_to_dict(plan: QueryPlan) -> dict:
     return {
         "policy": plan.policy_name,
@@ -399,13 +421,10 @@ def write_timeline(timeline: MetricsTimeline, out_dir) -> None:
     """timeline.csv, a plot-ready long CSV, and summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[str(r), name, fmt_float(v)] for r, name, v in timeline.to_long_rows()]
-    write_csv_rows(out / "timeline.csv", ["round", "metric", "value"], rows)
-    long_rows = [
-        [timeline.policy, str(timeline.seed), str(r), name, fmt_float(v)]
-        for r, name, v in timeline.to_long_rows()
-    ]
-    write_csv_rows(out / "timeline_long.csv", ["policy", "seed", "round", "metric", "value"], long_rows)
+    header, rows = csv_table(timeline)
+    write_csv_rows(out / "timeline.csv", header, rows)
+    long_rows = [[timeline.policy, str(timeline.seed), *row] for row in rows]
+    write_csv_rows(out / "timeline_long.csv", ["policy", "seed", *header], long_rows)
     write_json(timeline.summary(), out / "summary.json")
 
 
@@ -413,52 +432,24 @@ def export_results(value, path, format: str = "json") -> None:
     """Serialize a result object; see the module docstring for formats."""
     if format not in ("csv", "json"):
         raise ParameterError(f"unknown format {format!r}")
+    if format == "json":
+        write_json(_json_payload(value), path)
+    elif isinstance(value, AttitudeMatrix):
+        export_wide_csv(value, path)
+    else:
+        write_csv_rows(path, *csv_table(value))
+
+
+def _json_payload(value):
     if isinstance(value, AttitudeMatrix):
-        if format == "csv":
-            export_wide_csv(value, path)
-        else:
-            codes = value.codes()
-            cells = [
-                [i, p, int(codes[i, p])]
-                for i in range(value.n_participants)
-                for p in range(value.n_ideas)
-                if codes[i, p] >= 0
-            ]
-            write_json(
-                {"participants": value.n_participants, "ideas": [idea.text for idea in value.ideas], "cells": cells},
-                path,
-            )
-        return
+        cells = [[i, p, attitude.value] for (i, p), attitude in value.known_items().items()]
+        return {"participants": value.n_participants, "ideas": [idea.text for idea in value.ideas], "cells": cells}
     if isinstance(value, Slate):
-        if format == "csv":
-            write_csv_rows(path, ["idea"], [[str(p)] for p in sorted(value.ideas)])
-        else:
-            write_json(slate_to_dict(value), path)
-        return
+        return slate_to_dict(value)
     if isinstance(value, Ranking):
-        if format == "csv":
-            write_csv_rows(
-                path,
-                ["position", "idea", "provenance"],
-                [[str(j + 1), str(p), fmt_float(v)] for j, (p, v) in enumerate(zip(value.order, value.provenance))],
-            )
-        else:
-            write_json(ranking_to_rows(value), path)
-        return
+        return ranking_to_rows(value)
     if isinstance(value, QueryPlan):
-        if format == "csv":
-            write_csv_rows(path, ["participant", "idea"], [[str(i), str(p)] for i, p in value.pairs])
-        else:
-            write_json(plan_to_dict(value), path)
-        return
+        return plan_to_dict(value)
     if isinstance(value, MetricsTimeline):
-        if format == "csv":
-            write_csv_rows(
-                path,
-                ["round", "metric", "value"],
-                [[str(r), name, fmt_float(v)] for r, name, v in value.to_long_rows()],
-            )
-        else:
-            write_json(value.summary(), path)
-        return
+        return value.summary()
     raise ParameterError(f"cannot serialize values of type {type(value).__name__}")

@@ -26,6 +26,7 @@ from .population import (
     PopulationConfig,
     PopulationModel,
     config_field,
+    config_section,
     generate_population,
     ground_truth,
     sample_attitudes,
@@ -94,7 +95,9 @@ class LoopConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "LoopConfig":
         """Parse the JSON form; a missing or malformed field raises FormatError."""
+        config_section(raw, cls)
         weights = config_field(raw, "weights", lambda section: section, {})
+        config_section(weights, ElicitationWeights, "weights.")
         return cls(
             population=config_field(raw, "population", PopulationConfig.from_dict),
             rounds=config_field(raw, "rounds", int),

@@ -2,9 +2,10 @@
 
 Participants and ideas arrive over time and receive dense integer ids in
 arrival order; ids are never reused. Attitudes are ternary (approve,
-disapprove, unknown) and live in a sparse map keyed by (participant, idea);
-any cell never written reads as unknown. A dense int8 mirror of the map is
-kept in sync so numeric consumers get arrays without rebuilding them.
+disapprove, unknown) and live in one dense int8 array of codes, indexed by
+(participant, idea): 1 approve, 0 disapprove, -1 unknown. A cell never
+written reads as unknown. Every read, count and numeric view derives from
+that array.
 
 All mutation is expected to come from a single writer. Readers that need a
 stable view take a :meth:`AttitudeMatrix.snapshot`, which is frozen and can
@@ -63,7 +64,7 @@ class ApprovalSet:
 
 
 class AttitudeMatrix:
-    """Dynamic sparse participants-by-ideas matrix of ternary attitudes.
+    """Dynamic participants-by-ideas matrix of ternary attitudes.
 
     Tracks, besides the attitudes themselves: which participants are still
     active, how often each idea has been served to participants (its
@@ -71,7 +72,6 @@ class AttitudeMatrix:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], Attitude] = {}
         self._codes = np.empty((0, 0), dtype=np.int8)
         self._ideas: list[Idea] = []
         self._n = 0
@@ -148,15 +148,11 @@ class AttitudeMatrix:
             raise IdentityError(f"participant {i} is unknown or inactive")
         if not isinstance(attitude, Attitude):
             raise IdentityError(f"not an attitude: {attitude!r}")
-        old = self._entries.get((i, p), Attitude.UNKNOWN)
-        if attitude is Attitude.UNKNOWN:
-            self._entries.pop((i, p), None)
-        else:
-            self._entries[(i, p)] = attitude
+        old = self._codes.item(i, p)
         self._codes[i, p] = attitude.value
-        if old is not Attitude.UNKNOWN and attitude is not old:
-            self._audit_log.append((i, p, old, attitude))
-        if served or (old is Attitude.UNKNOWN and attitude is not Attitude.UNKNOWN):
+        if old >= 0 and attitude.value != old:
+            self._audit_log.append((i, p, Attitude(old), attitude))
+        if served or (old < 0 and attitude is not Attitude.UNKNOWN):
             self._exposure[p] += 1
 
     def note_exposure(self, p: IdeaId, count: int = 1) -> None:
@@ -172,7 +168,7 @@ class AttitudeMatrix:
     def get(self, i: ParticipantId, p: IdeaId) -> Attitude:
         self._check_participant(i)
         self._check_idea(p)
-        return self._entries.get((i, p), Attitude.UNKNOWN)
+        return Attitude(self._codes.item(i, p))
 
     def approval_set(self, i: ParticipantId) -> ApprovalSet:
         """Exactly the ideas participant ``i`` has approved."""
@@ -203,12 +199,11 @@ class AttitudeMatrix:
         total = self._n * self.n_ideas
         if total == 0:
             raise UndefinedRateError("completion rate is undefined on an empty matrix")
-        return len(self._entries) / total
+        return self.n_known / total
 
     def snapshot(self) -> "AttitudeMatrix":
         """Frozen copy; later mutations of the live matrix do not affect it."""
         snap = AttitudeMatrix()
-        snap._entries = dict(self._entries)
         snap._codes = self._codes.copy()
         snap._ideas = list(self._ideas)
         snap._n = self._n
@@ -281,11 +276,12 @@ class AttitudeMatrix:
 
     @property
     def n_known(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self._codes >= 0))
 
     def known_items(self) -> dict[tuple[int, int], Attitude]:
-        """Copy of the sparse map (known cells only)."""
-        return dict(self._entries)
+        """The known cells as a map from (participant, idea) to attitude."""
+        rows, cols = np.nonzero(self._codes >= 0)
+        return {(i, p): Attitude(self._codes.item(i, p)) for i, p in zip(rows.tolist(), cols.tolist())}
 
     # -- construction helpers ----------------------------------------------
 
@@ -303,10 +299,8 @@ class AttitudeMatrix:
             texts = [f"idea {j}" for j in range(m)]
         if len(texts) != m:
             raise IdentityError("texts length does not match the number of columns")
-        for text in texts:
-            matrix._ideas.append(Idea(id=len(matrix._ideas), text=text, author=None))
-            matrix._exposure.append(0)
-        matrix._codes = np.full((0, m), -1, dtype=np.int8)
+        for text in texts:  # before any row exists, so growing copies nothing
+            matrix.add_idea(text)
         for row in rows:
             if len(row) != m:
                 raise IdentityError("ragged rows")
@@ -323,10 +317,10 @@ class AttitudeMatrix:
         """Attitude-content equality: same shape and same known cells."""
         if not isinstance(other, AttitudeMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._entries == other._entries
+        return self.shape == other.shape and np.array_equal(self._codes, other._codes)
 
     def __repr__(self) -> str:
         return (
             f"AttitudeMatrix(n={self._n}, m={self.n_ideas}, "
-            f"known={len(self._entries)}, active={len(self._active)})"
+            f"known={self.n_known}, active={len(self._active)})"
         )

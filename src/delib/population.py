@@ -14,7 +14,8 @@ so whole trajectories replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,17 +38,31 @@ def _rng(*entropy: int) -> np.random.Generator:
 _REQUIRED = object()
 
 
-def config_field(raw, key: str, convert, default=_REQUIRED, *, where: str = ""):
-    """``convert(raw[key])``, or ``default`` when the key is absent.
+def config_section(raw, cls, where: str = "") -> dict:
+    """``raw``, checked to be a JSON object whose keys are fields of ``cls``.
 
-    A missing required key, a section that is not a JSON object, or a value
-    that ``convert`` rejects raises :class:`FormatError` naming the field by
-    its dotted path (``where`` is the section prefix, e.g. ``"population."``).
+    A section that is not an object, or a key that names no field of the
+    dataclass ``cls``, raises :class:`FormatError` naming it by its dotted
+    path (``where`` is the section prefix, e.g. ``"population."``).
     """
     if not isinstance(raw, dict):
         section = where.rstrip(".")
         raise FormatError(f"config section {section!r} must be a JSON object" if section
                           else "config must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise FormatError(f"config has an unknown field {where + key!r}")
+    return raw
+
+
+def config_field(raw: dict, key: str, convert, default=_REQUIRED, *, where: str = ""):
+    """``convert(raw[key])``, or ``default`` when the key is absent.
+
+    ``raw`` is a section checked by :func:`config_section`. A missing
+    required key or a value that ``convert`` rejects raises
+    :class:`FormatError` naming the field by its dotted path.
+    """
     name = where + key
     if key not in raw:
         if default is _REQUIRED:
@@ -72,10 +87,22 @@ class MixtureComponent:
                 return value
             return tuple(tuple(float(x) for x in row) for row in value)
 
+        config_section(raw, cls, where)
         return cls(
             weight=config_field(raw, "weight", float, where=where),
             mean=config_field(raw, "mean", lambda value: tuple(float(x) for x in value), where=where),
             cov=config_field(raw, "cov", cov, 1.0, where=where),
+        )
+
+
+def _check_cov(cov, dim: int) -> None:
+    if isinstance(cov, (int, float)):
+        valid = math.isfinite(cov) and cov >= 0
+    else:
+        valid = len(cov) == dim and all(len(row) == dim and all(map(math.isfinite, row)) for row in cov)
+    if not valid:
+        raise ParameterError(
+            f"mixture cov must be a finite variance >= 0 or a finite {dim} x {dim} covariance, got {cov!r}"
         )
 
 
@@ -119,6 +146,7 @@ class PopulationConfig:
                 raise ParameterError("mixture weights must be positive")
             if len(component.mean) != self.latent_dim:
                 raise ParameterError("mixture mean length must equal latent_dim")
+            _check_cov(component.cov, self.latent_dim)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PopulationConfig":
@@ -128,6 +156,7 @@ class PopulationConfig:
         ``population.mixture[0].mean``.
         """
         where = "population."
+        config_section(raw, cls, where)
         mixture = tuple(
             MixtureComponent.from_dict(component, f"{where}mixture[{j}].")
             for j, component in enumerate(config_field(raw, "mixture", list, where=where))

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyRankingError
 from .matrix import AttitudeMatrix, IdeaId
-from .routing import ElicitationWeights, estimate_support
+from .routing import ElicitationWeights, estimate_all_supports
 from .slates import ScoringKind, greedy_order
 
 
@@ -50,13 +52,8 @@ def elicitation_ranking(matrix: AttitudeMatrix, weights: ElicitationWeights = El
     equally supported but already well-exposed ones. Ties go to the lowest
     idea id.
     """
-    m = matrix.n_ideas
-    total = matrix.total_exposure
-    log_term = math.log(total + 1.0)
-    priorities = []
-    for p in range(m):
-        mean = estimate_support(matrix, p, weights).mean
-        bonus = weights.c_explore * math.sqrt(log_term / (matrix.exposure_count(p) + 1.0))
-        priorities.append(mean + bonus)
-    order = sorted(range(m), key=lambda p: (-priorities[p], p))
-    return Ranking(order=tuple(order), provenance=tuple(priorities[p] for p in order))
+    log_term = math.log(matrix.total_exposure + 1.0)
+    bonus = weights.c_explore * np.sqrt(log_term / (matrix.exposures + 1.0))
+    priorities = estimate_all_supports(matrix, weights) + bonus
+    order = np.argsort(-priorities, kind="stable")
+    return Ranking(order=tuple(order.tolist()), provenance=tuple(priorities[order].tolist()))

@@ -102,9 +102,8 @@ def estimate_all_supports(matrix: AttitudeMatrix, weights: ElicitationWeights = 
     approvals, responses = matrix.column_counts_all()
     denom = responses + weights.prior_weight
     prior = weights.prior_mean * weights.prior_weight
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(denom > 0, (approvals + prior) / np.maximum(denom, 1e-300), weights.prior_mean)
-    return means.astype(float)
+    means = np.full(denom.shape, weights.prior_mean, dtype=float)
+    return np.divide(approvals + prior, denom, out=means, where=denom > 0)
 
 
 # -- plan building -----------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, IdentityError, ParameterError
+from .landscape import impute_mean
 from .matrix import AttitudeMatrix, IdeaId, ParticipantId
 
 ENUMERATION_CAP = 10**6
@@ -285,18 +286,13 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1, cap: int = EN
 def imputed_approvals(matrix: AttitudeMatrix, threshold: float = 0.5) -> AttitudeMatrix:
     """Fill unknown cells with their column-mean verdict before scoring.
 
-    A cell becomes approve when its column mean is at or above
-    ``threshold`` (columns with no data count as 0.5). The result is a new
-    fully known matrix; the original is untouched.
+    A cell becomes approve when its column mean, as filled in by
+    :func:`delib.landscape.impute_mean`, is at or above ``threshold``
+    (columns with no data count as 0.5). The result is a new fully known
+    matrix; the original is untouched.
     """
     codes = matrix.codes()
-    n, m = codes.shape
-    rows: list[list[int]] = codes.clip(min=0).astype(int).tolist()
-    for p in range(m):
-        known = codes[:, p] >= 0
-        mean = codes[known, p].mean() if known.any() else 0.5
-        fill = 1 if mean >= threshold else 0
-        for i in range(n):
-            if not known[i]:
-                rows[i][p] = fill
-    return AttitudeMatrix.from_dense(rows, texts=[idea.text for idea in matrix.ideas])
+    if codes.size:  # impute_mean refuses empty shapes, which have no cell to fill
+        filled = impute_mean(matrix)
+        codes = np.where(filled.imputed_mask, filled.values >= threshold, codes)
+    return AttitudeMatrix.from_dense(codes.tolist(), texts=[idea.text for idea in matrix.ideas])

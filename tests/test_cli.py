@@ -163,6 +163,42 @@ def test_simulate_non_numeric_field_is_a_format_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def _set(config, path, value):
+    *parents, last = path
+    for key in parents:
+        config = config[key]
+    config[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, name",
+    [
+        (("slate_kk",), "'slate_kk'"),
+        (("population", "seedd"), "'population.seedd'"),
+        (("population", "mixture", 0, "covv"), "'population.mixture[0].covv'"),
+        (("weights", "c_explor"), "'weights.c_explor'"),
+    ],
+)
+def test_simulate_unknown_field_is_a_format_error(tmp_path, path, name):
+    config = simulate_config()
+    config["weights"] = {"c_explore": 1.0}
+    _set(config, path, 4)
+    result, _ = run_simulate(tmp_path, config)
+    assert result.returncode == 2
+    assert name in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 0.0], [0.0]], [[1.0]], -1.0])
+def test_simulate_bad_covariance_is_a_parameter_error(tmp_path, cov):
+    config = simulate_config()
+    config["population"]["mixture"][0]["cov"] = cov
+    result, _ = run_simulate(tmp_path, config)
+    assert result.returncode == 3
+    assert "variance" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_exit_code_format_error(tmp_path):
     missing = str(tmp_path / "nope.csv")
     result = run_cli("slate", "--k", "2", "--input", missing)

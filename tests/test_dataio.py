@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,9 @@ from delib import (
     ParameterError,
     PopulationConfig,
     ScoringKind,
+    elicitation_ranking,
     greedy_slate,
+    plan_uniform,
     proportional_ranking,
     run_loop,
 )
@@ -264,3 +267,45 @@ def test_timeline_csv_row_count(tmp_path):
     long_lines = (tmp_path / "timeline_long.csv").read_text().strip().splitlines()
     assert len(long_lines) == len(lines)
     assert long_lines[0].startswith("policy,seed,round")
+
+
+# SHA-256 of every export_results form and of the write_timeline files;
+# any change to a serializer's bytes fails here
+EXPORT_FINGERPRINTS = {
+    "matrix/json": "8840739e30f05c44d64fc3bedf23ebaab594ce0ed268c0616beec97c4a6d87bf",
+    "matrix/csv": "e53cff07236a5269aacbd634b80462acc748af77f2787e841003ab6e7ed79259",
+    "slate/json": "d54afeacf275f34105dc0e27ec2f69931691c50a27a9bf8fbe22efa4f51b6cec",
+    "slate/csv": "8f5999b4bd4c2aa21a8c30ed2702008554d93606741a19c95cfce7d264620116",
+    "ranking/json": "a6bccae2c85d863f54cc8585f606687b0c96f88e7878ca9ca3c767c9ac998abf",
+    "ranking/csv": "a5d1296f57ec0f69b6d3879953095b635e58f12abac3e49c8161d8b0c2c28616",
+    "plan/json": "82dcfdf5340a9fc917d3dc91701102060b922ca80571dd73f94030ab535dcfc5",
+    "plan/csv": "795a5988186fabbe18fb2c4e85e60765b6d014b349d390b6196a5a679a833c2e",
+    "timeline/json": "45fda9b3c3da0e513e23b76bbd5d3abb6633e0578181ab33c9332c2a3cf4f5c7",
+    "timeline/csv": "e1858450c5e62a7c4378caff0c1b7cb6f4944b1a62c4630728dec1ed5727681b",
+    "write_timeline/summary.json": "45fda9b3c3da0e513e23b76bbd5d3abb6633e0578181ab33c9332c2a3cf4f5c7",
+    "write_timeline/timeline.csv": "e1858450c5e62a7c4378caff0c1b7cb6f4944b1a62c4630728dec1ed5727681b",
+    "write_timeline/timeline_long.csv": "edd9f03b97cdc65695ed054366fdf1eb0eb29bcf53267bb22d0d65359f0ac2ab",
+}
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    matrix = AttitudeMatrix.from_dense([[1, None, 0], [None, 1, 1]], texts=["a", "b, c", 'say "hi"'])
+    matrix.record_attitude(0, 2, U)
+    matrix.record_attitude(1, 0, D)
+    values = {
+        "matrix": matrix,
+        "slate": greedy_slate(matrix, 2, ScoringKind.HARMONIC),
+        "ranking": elicitation_ranking(matrix),
+        "plan": plan_uniform(matrix, None, 3, 5),
+        "timeline": tiny_timeline(),
+    }
+    digests = {}
+    for name, value in values.items():
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"{name}.{fmt}"
+            export_results(value, path, format=fmt)
+            digests[f"{name}/{fmt}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    write_timeline(values["timeline"], tmp_path / "timeline")
+    for name in ("summary.json", "timeline.csv", "timeline_long.csv"):
+        digests[f"write_timeline/{name}"] = hashlib.sha256((tmp_path / "timeline" / name).read_bytes()).hexdigest()
+    assert digests == EXPORT_FINGERPRINTS

@@ -61,6 +61,14 @@ def test_invalid_configs_rejected():
         ).validate()
     with pytest.raises(ParameterError):
         PopulationConfig(n0=1, approval_radius=1.0, departure_prob=1.5).validate()
+    for cov in (-1.0, float("nan"), ((1.0, 0.0), (0.0,)), ((1.0,),), ((1.0, 0.0), (0.0, float("inf")))):
+        with pytest.raises(ParameterError):
+            PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
+
+
+def test_finite_covariances_accepted():
+    for cov in (0, 0.0, 2.5, ((1.0, 0.5), (0.5, 2.0))):
+        PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
 
 
 def zero_noise_model():
