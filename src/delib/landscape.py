@@ -6,6 +6,13 @@ with deflation, clusters the projected points with seeded k-means, and
 finally audits the clustering for groups that a different center would
 serve strictly better.
 
+Memory is bounded by the data: the audit measures its candidate centers in
+blocks, so beyond the O(n * m) input it holds O(block * n) floats, with
+``block * n * d`` near ``_AUDIT_CHUNK_FLOATS``, never an (n, n, d) tensor.
+The audit's and the Lloyd step's many-to-many distances come from
+``_squared_distances``, which equals the plain broadcast expression bit for
+bit, so the block size changes no output.
+
 Feeding mean-imputed binary data to a least-squares embedding is a known
 fidelity compromise; the imputation mask is kept on the complete matrix so
 downstream consumers can discount filled-in cells.
@@ -27,6 +34,7 @@ PCA_MAX_ITERATIONS = 10_000
 KMEANS_MAX_ITERATIONS = 500
 
 _START_VECTOR_SEED = 0x5EED
+_AUDIT_CHUNK_FLOATS = 1 << 20  # floats per candidate-block temporary, about 8 MB
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,28 @@ def pca_2d(complete, d: int = 2) -> Embedding:
     return Embedding(points=points, components=basis, column_means=column_means, objective=objective)
 
 
+# -- distances ------------------------------------------------------------------
+
+
+def _squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(n, c) squared distances, bit for bit ``((points[:, None] - others[None]) ** 2).sum(axis=2)``.
+
+    NumPy's add-reduce sums fewer than 8 terms in column order, which a
+    column-by-column accumulation repeats without the (n, c, d) temporary
+    and without the slow inner loop over a short axis. From 8 columns on it
+    sums pairwise, so the broadcast expression itself is kept; callers bound
+    its temporary by passing ``others`` in blocks. The property tests check
+    both branches bit for bit.
+    """
+    d = points.shape[1]
+    if d == 0 or d >= 8:
+        return ((points[:, None, :] - others[None, :, :]) ** 2).sum(axis=2)
+    total = (points[:, 0, None] - others[None, :, 0]) ** 2
+    for j in range(1, d):
+        total += (points[:, j, None] - others[None, :, j]) ** 2
+    return total
+
+
 # -- clustering -----------------------------------------------------------------
 
 
@@ -225,7 +255,7 @@ def kmeans(data, k: int, seed: int, max_iterations: int = KMEANS_MAX_ITERATIONS)
     history: list[float] = []
 
     for _ in range(max_iterations):
-        distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        distances = _squared_distances(points, centroids)
         new_assignment = distances.argmin(axis=1)
 
         sizes = np.bincount(new_assignment, minlength=k)
@@ -265,28 +295,36 @@ def fairness_audit(clustering: Clustering, data) -> FairnessAudit:
     who are all strictly closer to one common data point than to their own
     centroids. Candidates are exactly the data points; identical member
     sets are reported once, for the lowest candidate index.
+
+    Candidates are measured in blocks of about ``_AUDIT_CHUNK_FLOATS``
+    floats, so memory is O(n * d + block * n) rather than O(n^2 * d), and
+    only candidates with enough members reach Python. The distances are
+    those of the all-pairs expression bit for bit (see
+    ``_squared_distances``), so the strict comparison and the output do not
+    depend on the block size.
     """
     points = _as_points(data)
-    n = points.shape[0]
+    n, d = points.shape
     k = clustering.centroids.shape[0]
     centroid_dist = np.sqrt(((points - clustering.centroids[clustering.assignment]) ** 2).sum(axis=1))
-    all_dist = np.sqrt(((points[:, None, :] - clustering.centroids[None, :, :]) ** 2).sum(axis=2))
-    masked = all_dist.copy()
-    masked[np.arange(n), clustering.assignment] = np.inf
-    nearest_other = masked.min(axis=1) if k > 1 else np.full(n, np.inf)
+    all_dist = np.sqrt(_squared_distances(points, clustering.centroids))
+    all_dist[np.arange(n), clustering.assignment] = np.inf
+    nearest_other = all_dist.min(axis=1) if k > 1 else np.full(n, np.inf)
 
     threshold = ceil(n / k)
-    pairwise = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    closer = pairwise < centroid_dist[:, None]  # closer[i, c]: i prefers point c
+    block = max(1, _AUDIT_CHUNK_FLOATS // max(n * d, 1))
     coalitions = []
-    seen: set[frozenset[int]] = set()
-    for candidate in range(n):
-        members = np.flatnonzero(closer[:, candidate])
-        if members.size >= threshold:
-            key = frozenset(int(i) for i in members)
+    seen: set[bytes] = set()
+    for start in range(0, n, block):
+        # closer[c, i]: participant i prefers candidate start + c
+        closer = (np.sqrt(_squared_distances(points, points[start : start + block])) < centroid_dist[:, None]).T
+        for c in np.flatnonzero(closer.sum(axis=1) >= threshold).tolist():
+            row = closer[c]
+            key = np.packbits(row).tobytes()
             if key not in seen:
                 seen.add(key)
-                coalitions.append(BlockingCoalition(candidate=candidate, members=tuple(int(i) for i in members)))
+                members = tuple(np.flatnonzero(row).tolist())
+                coalitions.append(BlockingCoalition(candidate=start + c, members=members))
     return FairnessAudit(
         centroid_distance=centroid_dist,
         nearest_other_distance=nearest_other,

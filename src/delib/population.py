@@ -30,6 +30,8 @@ _TAG_RESPONSE = 202
 _TAG_CHURN = 303
 _TAG_IDEA = 404
 
+_COV_TOL = 1e-8  # the default tolerance of NumPy's multivariate_normal check
+
 
 def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng([int(e) & _MASK for e in entropy])
@@ -104,6 +106,14 @@ def _check_cov(cov, dim: int) -> None:
         raise ParameterError(
             f"mixture cov must be a finite variance >= 0 or a finite {dim} x {dim} covariance, got {cov!r}"
         )
+    if not isinstance(cov, (int, float)) and not _is_symmetric_psd(np.asarray(cov, dtype=float)):
+        raise ParameterError(f"mixture cov must be symmetric positive semi-definite, got {cov!r}")
+
+
+def _is_symmetric_psd(cov: np.ndarray) -> bool:
+    """Exact symmetry, then the test NumPy's ``multivariate_normal`` makes before it warns."""
+    _, s, vh = np.linalg.svd(cov)
+    return np.array_equal(cov, cov.T) and np.allclose((vh.T * s) @ vh, cov, rtol=_COV_TOL, atol=_COV_TOL)
 
 
 @dataclass(frozen=True)

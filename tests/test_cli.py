@@ -199,6 +199,17 @@ def test_simulate_bad_covariance_is_a_parameter_error(tmp_path, cov):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
+def test_simulate_covariance_not_symmetric_psd_is_a_parameter_error(tmp_path, cov):
+    config = simulate_config()
+    config["population"]["mixture"][0]["cov"] = cov
+    result, _ = run_simulate(tmp_path, config)
+    assert result.returncode == 3
+    assert "symmetric positive semi-definite" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
 def test_exit_code_format_error(tmp_path):
     missing = str(tmp_path / "nope.csv")
     result = run_cli("slate", "--k", "2", "--input", missing)

@@ -1,10 +1,10 @@
 """Golden fingerprints of the CLI's result outputs.
 
 Each fingerprint is a SHA-256 of what one ``delib slate|audit|rank|route``
-invocation writes to stdout, in json and in csv, on a seeded two-bloc wide
-CSV. A change to a serializer or to the computation behind a command that
-alters any output byte changes a hash and fails here. Print the current
-values with
+invocation writes to stdout, in json and in csv, or of one file that
+``delib landscape`` writes, on a seeded two-bloc wide CSV. A change to a
+serializer or to the computation behind a command that alters any output
+byte changes a hash and fails here. Print the current values with
 
     PYTHONPATH=src python tests/test_cli_fingerprints.py
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,17 @@ CASES = {
 }
 
 FORMATS = ("json", "csv")
+
+# embedded clustering runs in d = 2, full clustering in the 8 idea columns;
+# embedded k = 3 reports blocking coalitions, the others report none
+LANDSCAPE_CASES = {
+    "landscape/embedded-k2": ["--k", "2", "--seed", "3"],
+    "landscape/embedded-k3": ["--k", "3", "--seed", "0"],
+    "landscape/full-k2": ["--k", "2", "--seed", "3", "--space", "full"],
+    "landscape/full-k6": ["--k", "6", "--seed", "3", "--space", "full"],
+}
+
+LANDSCAPE_FILES = ("embedding.csv", "components.csv", "audit.json")
 
 
 def write_wide_csv(path: Path) -> None:
@@ -79,8 +91,19 @@ def cli_outputs(matrix_csv: str) -> dict[str, str]:
     }
 
 
-def cli_fingerprints(matrix_csv: str) -> dict[str, str]:
-    return {key: hashlib.sha256(text.encode()).hexdigest() for key, text in cli_outputs(matrix_csv).items()}
+def landscape_outputs(matrix_csv: str, out_root: Path) -> dict[str, bytes]:
+    outputs = {}
+    for name, args in LANDSCAPE_CASES.items():
+        out = out_root / name
+        assert main(["landscape", *args, "--input", matrix_csv, "--out", str(out)]) == 0, args
+        outputs.update({f"{name}/{file}": (out / file).read_bytes() for file in LANDSCAPE_FILES})
+    return outputs
+
+
+def cli_fingerprints(matrix_csv: str, out_root: Path) -> dict[str, str]:
+    outputs = {key: text.encode() for key, text in cli_outputs(matrix_csv).items()}
+    outputs.update(landscape_outputs(matrix_csv, out_root))
+    return {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
 
 
 CLI_FINGERPRINTS = {
@@ -108,6 +131,18 @@ CLI_FINGERPRINTS = {
     "route/ranking/csv": "1b2a83c7107615cec22726383f02b19592fabe379a47b91c2c3abb5204b5b1ad",
     "route/uncertainty/json": "bbf57d12ffd6e8bf9b8ff518aa6566c4de4dff21bc82d1dbd72aa47641f3a63c",
     "route/uncertainty/csv": "0c0ae73b41368414b6d55f80936d12dd1647a82fc087af0fdefe8a2227c4607d",
+    "landscape/embedded-k2/embedding.csv": "847c3d722551a037d5b4a18c183594545e1209cdc4b985db774901eea11c0fe1",
+    "landscape/embedded-k2/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/embedded-k2/audit.json": "45ce5937f736d9d691d2e3ec49f55849ddd425aebc5e318e59415bd3f6e1bda1",
+    "landscape/embedded-k3/embedding.csv": "a44d446b06328db2214d8e42e99fb3ac4c7f5ea0ba20a7bcf3bf3bc3bd3c85c6",
+    "landscape/embedded-k3/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/embedded-k3/audit.json": "d7b455f283f497f44ec0d3ab36a649b835a6acacc9fd3066b49555cb9e3736c5",
+    "landscape/full-k2/embedding.csv": "a2c3d89703ae18ed6b45b2f6b702ca62709428d7eb547c8bc5c910ca41fa5674",
+    "landscape/full-k2/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/full-k2/audit.json": "d53abc98ab6b3c0e0a1d37defad31ed1ff0abfe960197f18ed14916cc635719f",
+    "landscape/full-k6/embedding.csv": "93fb15262bcc61321eca8ec87394c50d84ae9de8f7d8ce12fbe430212f0b7ce9",
+    "landscape/full-k6/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/full-k6/audit.json": "f4c854a057bd314bcdbff5b223f7a976fc4974c13c125febed5459ce9970aa31",
 }
 
 
@@ -119,8 +154,8 @@ def matrix_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def current(matrix_csv):
-    return cli_fingerprints(matrix_csv)
+def current(matrix_csv, tmp_path_factory):
+    return cli_fingerprints(matrix_csv, tmp_path_factory.mktemp("landscape"))
 
 
 @pytest.mark.parametrize("key", sorted(CLI_FINGERPRINTS))
@@ -130,6 +165,13 @@ def test_cli_fingerprint(current, key):
 
 def test_cli_fingerprints_cover_every_case(current):
     assert set(current) == set(CLI_FINGERPRINTS)
+
+
+def test_a_landscape_case_reports_blocking_coalitions(matrix_csv, tmp_path):
+    args = [*LANDSCAPE_CASES["landscape/embedded-k3"], "--input", matrix_csv, "--out", str(tmp_path)]
+    assert main(["landscape", *args]) == 0
+    audit = json.loads((tmp_path / "audit.json").read_text())
+    assert len(audit["blocking_coalitions"]) > 0
 
 
 @pytest.mark.parametrize("name", ["audit/greedy", "rank/elicitation", "route/ranking", "slate/greedy"])
@@ -147,5 +189,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "matrix.csv"
         write_wide_csv(path)
-        for key, value in cli_fingerprints(str(path)).items():
+        for key, value in cli_fingerprints(str(path), Path(tmp)).items():
             print(f'    "{key}": "{value}",')

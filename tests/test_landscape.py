@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import ceil
 
 import numpy as np
@@ -324,3 +325,18 @@ def test_landscape_full_space_option():
     assert scape.clustering.centroids.shape[1] == 5
     with pytest.raises(ParameterError):
         build_landscape(m, k=2, seed=1, space="sideways")
+
+
+def test_full_space_landscape_memory_is_bounded_by_the_data():
+    # all-pairs distances at 1000 x 200 would take 1.6 GB per temporary;
+    # the blocked audit needs a few of its 8 MB blocks on top of the data
+    rng = np.random.default_rng(15)
+    cells = np.where(rng.random((1000, 200)) < 0.3, (rng.random((1000, 200)) < 0.5).astype(int), -1)
+    m = AttitudeMatrix.from_dense([[None if c < 0 else c for c in row] for row in cells.tolist()])
+    tracemalloc.start()
+    try:
+        build_landscape(m, k=2, seed=1, space="full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -2,9 +2,11 @@
 
 Each fingerprint is a SHA-256 over the canonical text of seeded outputs:
 for plans the policy, seed, shortfall and every pair in draw order; for
-``run_loop`` every field of every round row. A change to a planner that
-alters any plan or timeline for the same input and seed changes a hash and
-fails here. Print the current values with
+``run_loop`` every field of every round row, on a churning config and on
+acceptance criterion 8's full-budget config, where the exact slate solver
+runs. A change to a planner, a slate solver or the landscape that alters
+any plan or timeline for the same input and seed changes a hash and fails
+here. Print the current values with
 
     PYTHONPATH=src python tests/test_plan_fingerprints.py
 """
@@ -125,17 +127,42 @@ def _churn_config(policy: str) -> LoopConfig:
     )
 
 
+def _exact_config(policy: str) -> LoopConfig:
+    """Criterion 8's config cut to 3 rounds: n0 = 200, budget n * m, exact slates."""
+    population = PopulationConfig(
+        n0=200,
+        approval_radius=3.0,
+        mixture=(MixtureComponent(0.5, (-3.0, 0.0), 1.0), MixtureComponent(0.5, (3.0, 0.0), 1.0)),
+        seed=0,
+    )
+    return LoopConfig(
+        population=population, rounds=3, query_budget_per_round=200 * 50, routing_policy=policy,
+        initial_ideas=50, slate_k=3, slate_solver="auto", landscape_k=2, seed=0,
+    )
+
+
 def _row_text(row) -> str:
     fields = dataclasses.fields(row)
     return "|".join(f"{f.name}={float(getattr(row, f.name))!r}" for f in fields) + "\n"
 
 
+def _timeline_digest(config: LoopConfig) -> str:
+    timeline = run_loop(config)
+    return _digest([*map(_row_text, timeline.rows), "|".join(timeline.notes)])
+
+
 def loop_fingerprints() -> dict[str, str]:
-    out = {}
-    for policy in ("uniform", "ranking", "uncertainty"):
-        timeline = run_loop(_churn_config(policy))
-        out[f"loop/{policy}"] = _digest([*map(_row_text, timeline.rows), "|".join(timeline.notes)])
-    return out
+    return {
+        f"loop/{policy}": _timeline_digest(_churn_config(policy))
+        for policy in ("uniform", "ranking", "uncertainty")
+    }
+
+
+def exact_loop_fingerprints() -> dict[str, str]:
+    return {
+        f"loop-exact/{policy}": _timeline_digest(_exact_config(policy))
+        for policy in ("uniform", "ranking", "uncertainty")
+    }
 
 
 PLAN_FINGERPRINTS = {
@@ -172,6 +199,15 @@ LOOP_FINGERPRINTS = {
 }
 
 
+# with budget n * m every cell is known from the first round on, so the
+# three policies give the same timeline
+EXACT_LOOP_FINGERPRINTS = {
+    "loop-exact/uniform": "209df4857ab01af0aeefda789300748d58347725bfacec3b3c40a7f1467f0f70",
+    "loop-exact/ranking": "209df4857ab01af0aeefda789300748d58347725bfacec3b3c40a7f1467f0f70",
+    "loop-exact/uncertainty": "209df4857ab01af0aeefda789300748d58347725bfacec3b3c40a7f1467f0f70",
+}
+
+
 @pytest.fixture(scope="module")
 def current_plans():
     return plan_fingerprints()
@@ -190,7 +226,11 @@ def test_loop_fingerprints():
     assert loop_fingerprints() == LOOP_FINGERPRINTS
 
 
+def test_exact_loop_fingerprints():
+    assert exact_loop_fingerprints() == EXACT_LOOP_FINGERPRINTS
+
+
 if __name__ == "__main__":
-    for table in (plan_fingerprints(), loop_fingerprints()):
+    for table in (plan_fingerprints(), loop_fingerprints(), exact_loop_fingerprints()):
         for key, value in table.items():
             print(f'    "{key}": "{value}",')

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,9 +68,40 @@ def test_invalid_configs_rejected():
             PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
 
 
+# symmetric PSD, among them singular ones and one a rounding error below PSD
+ACCEPTED_COVARIANCES = (
+    0, 0.0, 2.5, ((1.0, 0.5), (0.5, 2.0)), ((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 1.0)),
+    ((1.0, 1.0), (1.0, 1.0 - 1e-12)),
+)
+
+
 def test_finite_covariances_accepted():
-    for cov in (0, 0.0, 2.5, ((1.0, 0.5), (0.5, 2.0))):
+    for cov in ACCEPTED_COVARIANCES:
         PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        ((1.0, 2.0), (2.0, 1.0)),  # symmetric, eigenvalue -1
+        ((1.0, 0.5), (0.0, 1.0)),  # positive definite part, not symmetric
+        ((1.0, 0.0), (0.0, -1e-6)),  # a negative variance beyond NumPy's tolerance
+    ],
+)
+def test_covariance_must_be_symmetric_psd(cov):
+    with pytest.raises(ParameterError, match="symmetric positive semi-definite"):
+        PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
+
+
+@pytest.mark.parametrize("cov", ACCEPTED_COVARIANCES)
+def test_accepted_covariances_draw_without_warnings(cov):
+    config = PopulationConfig(n0=20, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),), seed=3)
+    config.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = generate_population(config, 3)
+        model.spawn_idea(None, np.random.default_rng(3))
+    assert np.isfinite(np.vstack(model.participant_positions)).all()
 
 
 def zero_noise_model():
