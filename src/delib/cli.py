@@ -26,9 +26,9 @@ from .errors import (
     ParameterError,
 )
 from .landscape import build_landscape
-from .loop import LoopConfig, run_loop
+from .loop import LoopConfig, plan_for_policy, run_loop
 from .rankings import elicitation_ranking, proportional_ranking
-from .routing import ElicitationWeights, plan_ranking_proportional, plan_uncertainty, plan_uniform
+from .routing import ElicitationWeights
 from .slates import ScoringKind, exact_slate, greedy_slate, jr_audit
 
 EXIT_OK = 0
@@ -110,14 +110,7 @@ def _cmd_landscape(args) -> None:
 
 def _cmd_route(args) -> None:
     matrix = _load_matrix(args.input)
-    active = matrix.active_participants
-    if args.policy == "uniform":
-        plan = plan_uniform(matrix, active, args.budget, args.seed)
-    elif args.policy == "ranking":
-        ranking = elicitation_ranking(matrix)
-        plan = plan_ranking_proportional(matrix, ranking, active, args.budget, args.seed)
-    else:
-        plan = plan_uncertainty(matrix, active, args.budget, seed=args.seed)
+    plan = plan_for_policy(args.policy, matrix, args.budget, ElicitationWeights(), args.seed)
     if args.format == "csv":
         _emit(dataio.csv_text(*dataio.csv_table(plan)), args.out)
         return
@@ -126,11 +119,11 @@ def _cmd_route(args) -> None:
 
 def _cmd_simulate(args) -> None:
     try:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FormatError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"config is not valid UTF-8 JSON: {exc}") from exc
     config = LoopConfig.from_dict(raw)
     if args.seed is not None:
         config = replace(config, seed=args.seed)

@@ -1,16 +1,21 @@
 """CSV and JSON ingestion and serialization.
 
-Two matrix file formats are supported and round-trip losslessly:
+Two matrix file formats share one cell codec: ``1`` approve, ``0``
+disapprove, empty unknown.
 
-* wide: header ``participant,<idea text>,...``; cells ``1`` approve,
-  ``0`` disapprove, empty unknown.
+* wide: header ``participant,<idea text>,...``, one row per participant.
+  It keeps cells, shape and idea texts, except that a text already in the
+  header gets `` [id]`` suffixes until it is unique.
 * long: header ``participant,idea,value``; one row per cell, empty value
-  for unknown cells so the shape survives the trip.
+  for unknown cells. It keeps cells, and the shape of a matrix with at
+  least one cell, but not idea texts, which read back as ``idea <label>``.
 
 A separate reader ingests Polis-style long exports (participant, comment,
 vote with votes 1 / -1 / 0); a vote of 0 (a pass) maps to unknown by
 default since the engine's attitude domain is ternary, and the mapping is
-configurable and always reported.
+configurable and always reported. All three readers stream rows from one
+UTF-8 CSV reader, and a file that cannot be opened, decoded or parsed
+raises ``FormatError``.
 
 All writers are atomic (temp file + rename) and serialize floats with nine
 significant digits.
@@ -19,12 +24,12 @@ significant digits.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,7 +89,7 @@ def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -97,12 +102,17 @@ def json_text(value) -> str:
 
 
 def csv_text(header: list[str], rows) -> str:
-    """CSV with ``\\n`` line ends; fields are quoted only where they must be."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """CSV with ``\\n`` line ends; fields are quoted only where they must be.
+
+    The writer ends each row, in one write, with ``\\r\\n`` so that it also
+    quotes a field holding a bare ``\\r``, which a reader takes for a line
+    end; the ``\\r`` is then dropped.
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def write_json(value, path) -> None:
@@ -113,24 +123,82 @@ def write_csv_rows(path, header: list[str], rows) -> None:
     atomic_write_text(path, csv_text(header, rows))
 
 
+# -- matrix files: one cell codec, one reader ----------------------------------------
+
+_CELL_TEXT = np.array(["", "0", "1"], dtype=object)  # indexed by attitude code + 1
+_CELL_ATTITUDE = {text: Attitude(code - 1) for code, text in enumerate(_CELL_TEXT)}
+_CELL_MAPPING = "1=approve, 0=disapprove, empty=unknown"
+
+
+def _cell_texts(matrix: AttitudeMatrix) -> list[list[str]]:
+    """Every cell's text, row by row."""
+    # a lookup per row, not one over the matrix, keeps the object temporaries
+    # row-sized; the whole-matrix one raised peak RSS on 4000 x 400 by 3 MB
+    return [_CELL_TEXT[row].tolist() for row in matrix.codes() + 1]
+
+
+def _csv_rows(path):
+    """Yield ``(line_no, row)`` for the header (line 1) and each non-blank row.
+
+    Rows stream from the open file. A file that cannot be opened, is not
+    UTF-8, is not well-formed CSV or has no header raises ``FormatError``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError("empty file: missing header", line=1)
+            yield 1, header
+            for line_no, row in enumerate(reader, start=2):
+                if row:
+                    yield line_no, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+class _Labels(dict):
+    """Ids by label: a label gets an id, from ``create(label)``, the first time it appears."""
+
+    def __init__(self, create) -> None:
+        super().__init__()
+        self._create = create
+
+    def __missing__(self, label: str) -> int:
+        self[label] = index = self._create(label)
+        return index
+
+
+def _counted(matrix: AttitudeMatrix, report: ImportReport) -> tuple[AttitudeMatrix, ImportReport]:
+    """Fill in the counts every reader reports from the finished matrix.
+
+    Every participant and idea was created by its label's first
+    appearance, and ``cells_set`` is the number of known cells.
+    """
+    report.participants_created = matrix.n_participants
+    report.ideas_created = matrix.n_ideas
+    report.cells_set = matrix.n_known
+    return matrix, report
+
+
 # -- matrix: wide format ---------------------------------------------------------
 
 
 def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
-    """Write the wide format; idea texts become headers (deduplicated)."""
+    """Write the wide format; idea texts become headers.
+
+    A text already in the header gets `` [id]`` suffixes until it is
+    unused, so the reader never meets a duplicated header.
+    """
     texts = []
     seen: set[str] = set()
     for idea in matrix.ideas:
         text = idea.text
-        if text in seen:
+        while text in seen:
             text = f"{text} [{idea.id}]"
         seen.add(text)
         texts.append(text)
-    codes = matrix.codes()
-    rows = []
-    for i in range(matrix.n_participants):
-        cells = ["" if codes[i, p] < 0 else str(int(codes[i, p])) for p in range(matrix.n_ideas)]
-        rows.append([str(i)] + cells)
+    rows = [[str(i)] + cells for i, cells in enumerate(_cell_texts(matrix))]
     write_csv_rows(path, ["participant"] + texts, rows)
 
 
@@ -139,52 +207,30 @@ def import_wide_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
 
     Malformed cells are skipped and reported with their location.
     """
-    report = ImportReport(value_mapping="1=approve, 0=disapprove, empty=unknown")
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError("empty file: missing header", line=1) from None
-            idea_texts = header[1:]
-            if len(set(idea_texts)) != len(idea_texts):
-                raise FormatError("duplicate idea headers", line=1)
-            matrix = AttitudeMatrix()
-            for text in idea_texts:
-                matrix.add_idea(text)
-                report.ideas_created += 1
-            labels: dict[str, int] = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                report.rows_read += 1
-                label = row[0]
-                if label in labels:
-                    i = labels[label]
-                else:
-                    i = matrix.add_participant()
-                    labels[label] = i
-                    report.participants_created += 1
-                for column, cell in enumerate(row[1:], start=2):
-                    p = column - 2
-                    if p >= matrix.n_ideas:
-                        report.skipped.append((line_no, column, cell, "no such idea column"))
-                        continue
-                    cell = cell.strip()
-                    if cell == "":
-                        continue
-                    if cell == "1":
-                        matrix.record_attitude(i, p, Attitude.APPROVE)
-                        report.cells_set += 1
-                    elif cell == "0":
-                        matrix.record_attitude(i, p, Attitude.DISAPPROVE)
-                        report.cells_set += 1
-                    else:
-                        report.skipped.append((line_no, column, cell, "unmapped value"))
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return matrix, report
+    rows = _csv_rows(path)
+    _, header = next(rows)
+    idea_texts = header[1:]
+    if len(set(idea_texts)) != len(idea_texts):
+        raise FormatError("duplicate idea headers", line=1)
+    matrix = AttitudeMatrix()
+    for text in idea_texts:
+        matrix.add_idea(text)
+    m = len(idea_texts)
+    participants = _Labels(lambda _: matrix.add_participant())
+    report = ImportReport(value_mapping=_CELL_MAPPING)
+    for line_no, row in rows:
+        report.rows_read += 1
+        i = participants[row[0]]
+        for p, cell in enumerate(row[1 : m + 1]):
+            attitude = _CELL_ATTITUDE.get(cell.strip())
+            if attitude is None:
+                report.skipped.append((line_no, p + 2, cell.strip(), "unmapped value"))
+            elif attitude is not Attitude.UNKNOWN:
+                matrix.record_attitude(i, p, attitude)
+        report.skipped.extend(
+            (line_no, column, cell, "no such idea column") for column, cell in enumerate(row[m + 1 :], start=m + 2)
+        )
+    return _counted(matrix, report)
 
 
 # -- matrix: long format ----------------------------------------------------------
@@ -192,62 +238,60 @@ def import_wide_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
 
 def export_long_csv(matrix: AttitudeMatrix, path) -> None:
     """Write every cell as a (participant, idea, value) triple."""
-    codes = matrix.codes()
-    rows = []
-    for i in range(matrix.n_participants):
-        for p in range(matrix.n_ideas):
-            value = "" if codes[i, p] < 0 else str(int(codes[i, p]))
-            rows.append([str(i), str(p), value])
+    ideas = [str(p) for p in range(matrix.n_ideas)]
+    rows = [[str(i), idea, cell] for i, cells in enumerate(_cell_texts(matrix)) for idea, cell in zip(ideas, cells)]
     write_csv_rows(path, ["participant", "idea", "value"], rows)
 
 
 def import_long_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
     """Read (participant, idea, value) triples; later rows win."""
-    report = ImportReport(value_mapping="1=approve, 0=disapprove, empty=unknown")
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError("empty file: missing header", line=1) from None
-            if len(header) < 3:
-                raise FormatError("long format needs participant, idea, value columns", line=1)
-            matrix = AttitudeMatrix()
-            labels: dict[str, int] = {}
-            idea_labels: dict[str, int] = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                report.rows_read += 1
-                if len(row) < 2:
-                    report.skipped.append((line_no, 1, ",".join(row), "short row"))
-                    continue
-                label, idea_label = row[0], row[1]
-                value = row[2].strip() if len(row) > 2 else ""
-                if label not in labels:
-                    labels[label] = matrix.add_participant()
-                    report.participants_created += 1
-                if idea_label not in idea_labels:
-                    idea_labels[idea_label] = matrix.add_idea(f"idea {idea_label}")
-                    report.ideas_created += 1
-                i, p = labels[label], idea_labels[idea_label]
-                if value == "":
-                    continue
-                if value == "1":
-                    matrix.record_attitude(i, p, Attitude.APPROVE)
-                elif value == "0":
-                    matrix.record_attitude(i, p, Attitude.DISAPPROVE)
-                else:
-                    report.skipped.append((line_no, 3, value, "unmapped value"))
-                    continue
-            report.cells_set = matrix.n_known
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return matrix, report
+    rows = _csv_rows(path)
+    _, header = next(rows)
+    if len(header) < 3:
+        raise FormatError("long format needs participant, idea, value columns", line=1)
+    matrix = AttitudeMatrix()
+    participants = _Labels(lambda _: matrix.add_participant())
+    ideas = _Labels(lambda label: matrix.add_idea(f"idea {label}"))
+    report = ImportReport(value_mapping=_CELL_MAPPING)
+    for line_no, row in rows:
+        report.rows_read += 1
+        if len(row) < 2:
+            report.skipped.append((line_no, 1, ",".join(row), "short row"))
+            continue
+        i, p = participants[row[0]], ideas[row[1]]
+        value = row[2].strip() if len(row) > 2 else ""
+        attitude = _CELL_ATTITUDE.get(value)
+        if attitude is None:
+            report.skipped.append((line_no, 3, value, "unmapped value"))
+        elif attitude is not Attitude.UNKNOWN:
+            matrix.record_attitude(i, p, attitude)
+    return _counted(matrix, report)
 
 
 # -- Polis-style long export --------------------------------------------------------
+
+_POLIS_ROLES = {
+    "participant": ("participant", "voter"),
+    "comment": ("comment", "idea", "statement"),
+    "vote": ("vote", "value"),
+}
+
+
+def _polis_columns(header: list[str]) -> list[int]:
+    """Column of each role: exact names win, then substrings (e.g. ``voter-id``)."""
+    columns: dict[str, int] = {}
+    for exact in (True, False):
+        for role, names in _POLIS_ROLES.items():
+            if role in columns:
+                continue
+            for j, cell in enumerate(header):
+                if j not in columns.values() and (cell in names if exact else any(name in cell for name in names)):
+                    columns[role] = j
+                    break
+    for role, names in _POLIS_ROLES.items():
+        if role not in columns:
+            raise FormatError(f"missing column: one of {names}", line=1)
+    return [columns[role] for role in _POLIS_ROLES]
 
 
 def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, ImportReport]:
@@ -260,71 +304,29 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
     """
     if pass_as not in ("unknown", "disapprove"):
         raise ParameterError(f"pass_as must be 'unknown' or 'disapprove', got {pass_as!r}")
+    passed = Attitude.DISAPPROVE if pass_as == "disapprove" else Attitude.UNKNOWN
+    votes = {"1": Attitude.APPROVE, "-1": Attitude.DISAPPROVE, "0": passed}
+    rows = _csv_rows(path)
+    _, header = next(rows)
+    col_i, col_p, col_v = _polis_columns([cell.strip().lower() for cell in header])
+    last = max(col_i, col_p, col_v)
+    matrix = AttitudeMatrix()
+    participants = _Labels(lambda _: matrix.add_participant())
+    ideas = _Labels(lambda label: matrix.add_idea(f"comment {label}"))
     report = ImportReport(value_mapping=f"1=approve, -1=disapprove, 0=pass->{pass_as}")
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = [cell.strip().lower() for cell in next(reader)]
-            except StopIteration:
-                raise FormatError("empty file: missing header", line=1) from None
-
-            roles = {
-                "participant": ("participant", "voter"),
-                "comment": ("comment", "idea", "statement"),
-                "vote": ("vote", "value"),
-            }
-            columns: dict[str, int] = {}
-            for role, names in roles.items():  # exact names win
-                for j, cell in enumerate(header):
-                    if j not in columns.values() and cell in names:
-                        columns[role] = j
-                        break
-            for role, names in roles.items():  # then substrings, e.g. voter-id
-                if role in columns:
-                    continue
-                for j, cell in enumerate(header):
-                    if j not in columns.values() and any(name in cell for name in names):
-                        columns[role] = j
-                        break
-                if role not in columns:
-                    raise FormatError(f"missing column: one of {names}", line=1)
-
-            col_i, col_p, col_v = columns["participant"], columns["comment"], columns["vote"]
-            matrix = AttitudeMatrix()
-            labels: dict[str, int] = {}
-            idea_labels: dict[str, int] = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                report.rows_read += 1
-                if len(row) <= max(col_i, col_p, col_v):
-                    report.skipped.append((line_no, 1, ",".join(row), "short row"))
-                    continue
-                label, idea_label, vote = row[col_i], row[col_p], row[col_v].strip()
-                if label not in labels:
-                    labels[label] = matrix.add_participant()
-                    report.participants_created += 1
-                if idea_label not in idea_labels:
-                    idea_labels[idea_label] = matrix.add_idea(f"comment {idea_label}")
-                    report.ideas_created += 1
-                i, p = labels[label], idea_labels[idea_label]
-                if vote == "1":
-                    matrix.record_attitude(i, p, Attitude.APPROVE)
-                elif vote == "-1":
-                    matrix.record_attitude(i, p, Attitude.DISAPPROVE)
-                elif vote == "0":
-                    report.passes += 1
-                    if pass_as == "disapprove":
-                        matrix.record_attitude(i, p, Attitude.DISAPPROVE)
-                    else:
-                        matrix.record_attitude(i, p, Attitude.UNKNOWN)
-                else:
-                    report.skipped.append((line_no, col_v + 1, vote, "unmapped vote"))
-            report.cells_set = matrix.n_known
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return matrix, report
+    for line_no, row in rows:
+        report.rows_read += 1
+        if len(row) <= last:
+            report.skipped.append((line_no, 1, ",".join(row), "short row"))
+            continue
+        i, p, vote = participants[row[col_i]], ideas[row[col_p]], row[col_v].strip()
+        if vote not in votes:
+            report.skipped.append((line_no, col_v + 1, vote, "unmapped vote"))
+            continue
+        if vote == "0":
+            report.passes += 1
+        matrix.record_attitude(i, p, votes[vote])
+    return _counted(matrix, report)
 
 
 # -- result serialization --------------------------------------------------------------

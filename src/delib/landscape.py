@@ -96,12 +96,9 @@ def impute_mean(matrix: AttitudeMatrix) -> CompleteMatrix:
         raise ParameterError("imputation needs at least one participant and one idea")
     codes = matrix.codes()
     known = codes >= 0
-    values = codes.astype(float)
-    for p in range(m):
-        col_known = known[:, p]
-        fill = values[col_known, p].mean() if col_known.any() else 0.5
-        values[~col_known, p] = fill
-    return CompleteMatrix(values=values, imputed_mask=~known)
+    approvals, responses = matrix.column_counts_all()
+    fill = np.divide(approvals, responses, out=np.full(m, 0.5), where=responses > 0)
+    return CompleteMatrix(values=np.where(known, codes, fill), imputed_mask=~known)
 
 
 def _as_points(data) -> np.ndarray:

@@ -36,6 +36,7 @@ from .rankings import elicitation_ranking
 from .routing import (
     POLICY_NAMES,
     ElicitationWeights,
+    QueryPlan,
     estimate_all_supports,
     plan_ranking_proportional,
     plan_uncertainty,
@@ -273,17 +274,16 @@ def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) 
     return ids, score_from_approvals(approvals, ids, kind), False
 
 
-def _plan_for_policy(config: LoopConfig, matrix: AttitudeMatrix, round_index: int):
-    """The round's query plan. Planners only read, so the live matrix serves."""
-    seed = _derive_seed(config.seed, _TAG_PLAN, round_index)
+def plan_for_policy(policy: str, matrix: AttitudeMatrix, budget: int, weights: ElicitationWeights,
+                    seed: int) -> QueryPlan:
+    """The query plan of a routing policy over the active participants."""
     active = matrix.active_participants
-    budget = config.query_budget_per_round
-    if config.routing_policy == "uniform":
+    if policy == "uniform":
         return plan_uniform(matrix, active, budget, seed)
-    if config.routing_policy == "ranking":
-        ranking = elicitation_ranking(matrix, config.weights)
+    if policy == "ranking":
+        ranking = elicitation_ranking(matrix, weights)
         return plan_ranking_proportional(matrix, ranking, active, budget, seed)
-    return plan_uncertainty(matrix, active, budget, config.weights, seed=seed)
+    return plan_uncertainty(matrix, active, budget, weights, seed=seed)
 
 
 def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationModel,
@@ -376,7 +376,9 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
     for round_index in range(1, config.rounds + 1):
         contribute_ideas(config.ideas_per_round)
 
-        plan = _plan_for_policy(config, matrix, round_index)
+        # planners only read, so the live matrix serves
+        plan = plan_for_policy(config.routing_policy, matrix, config.query_budget_per_round, config.weights,
+                               _derive_seed(config.seed, _TAG_PLAN, round_index))
         answers = sample_attitudes(model, plan.pairs, round_index)
         for (i, p), attitude in zip(plan.pairs, answers):
             matrix.record_attitude(i, p, attitude, served=True)

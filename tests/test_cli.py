@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from delib.cli import main
+
 WIDE = "p,a,b,c\n0,1,,0\n1,1,1,\n2,,0,1\n3,0,1,1\n"
 
 
@@ -237,3 +239,39 @@ def test_cli_outputs_reproducible(tmp_path, matrix_csv):
         run_cli("landscape", "--k", "2", "--seed", "3", "--input", matrix_csv, "--out", str(out))
     for name in ("embedding.csv", "components.csv", "audit.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# Files that cannot be read as a matrix or config; the table adds a
+# directory and a missing path.
+UNREADABLE_FILES = {
+    "non-utf8": b"participant,comment,vote\n1,2,\xff\n",
+    "huge-field": b"participant,comment,vote\n1,2," + b"1" * 131_073 + b"\n",
+    "empty": b"",
+}
+
+COMMANDS = {
+    "slate": lambda path, out: ["slate", "--k", "2", "--input", path],
+    "audit": lambda path, out: ["audit", "--k", "2", "--input", path],
+    "rank": lambda path, out: ["rank", "--mode", "proportional", "--input", path],
+    "route": lambda path, out: ["route", "--policy", "uniform", "--budget", "3", "--seed", "1", "--input", path],
+    "landscape": lambda path, out: ["landscape", "--k", "2", "--seed", "1", "--input", path, "--out", out],
+    "import-polis": lambda path, out: ["import-polis", "--input", path, "--out", out],
+    "simulate": lambda path, out: ["simulate", "--config", path, "--out", out],
+}
+
+
+@pytest.mark.parametrize("kind", [*UNREADABLE_FILES, "directory", "missing"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_unreadable_input_exits_with_a_format_error(tmp_path, capsys, command, kind):
+    # In-process: main() either returns an exit code or lets an exception,
+    # and with it a traceback, escape; no subprocess per case is needed.
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind in UNREADABLE_FILES:
+        path.write_bytes(UNREADABLE_FILES[kind])
+    code = main(COMMANDS[command](str(path), str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("format error: ")
+    assert "Traceback" not in err

@@ -84,6 +84,52 @@ def test_wide_import_rejects_duplicate_headers(tmp_path):
         import_wide_csv(path)
 
 
+def test_wide_export_renames_until_the_header_is_unused(tmp_path):
+    # the first " [id]" suffix may collide with another text; keep suffixing
+    matrix = AttitudeMatrix.from_dense([[1, 0, None]], texts=["a", "a [2]", "a"])
+    path = tmp_path / "m.csv"
+    export_wide_csv(matrix, path)
+    assert path.read_text().splitlines()[0] == "participant,a,a [2],a [2] [2]"
+    loaded, _ = import_wide_csv(path)
+    assert loaded == matrix
+    assert [idea.text for idea in loaded.ideas] == ["a", "a [2]", "a [2] [2]"]
+
+
+def test_wide_export_quotes_a_carriage_return(tmp_path):
+    matrix = AttitudeMatrix.from_dense([[1, 0]], texts=["a\rb", "c\r\nd"])
+    path = tmp_path / "m.csv"
+    export_wide_csv(matrix, path)
+    assert path.read_bytes() == b'participant,"a\rb","c\r\nd"\n0,1,0\n'
+    loaded, _ = import_wide_csv(path)
+    assert loaded == matrix
+    assert [idea.text for idea in loaded.ideas] == ["a\rb", "c\r\nd"]
+
+
+def test_wide_import_counts_known_cells_not_writes(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("p,a\n0,1\n0,0\n")
+    matrix, report = import_wide_csv(path)
+    assert matrix.shape == (1, 1)
+    assert matrix.get(0, 0) is D
+    assert (report.rows_read, report.participants_created, report.cells_set) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("reader", [import_wide_csv, import_long_csv, import_polis_long])
+@pytest.mark.parametrize(
+    "content",
+    [None, b"", b"participant,idea,value\n0,0,\xff\n", b"participant,idea,value\n0,0," + b"1" * 131_073 + b"\n"],
+    ids=["directory", "empty", "non-utf8", "huge-field"],
+)
+def test_unreadable_files_raise_format_errors(tmp_path, reader, content):
+    path = tmp_path / "input.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(FormatError):
+        reader(path)
+
+
 def test_wide_import_missing_file():
     with pytest.raises(FormatError):
         import_wide_csv("/nonexistent/nope.csv")

@@ -4,13 +4,15 @@ Both are computed in array form. The plain per-idea loops kept here as
 references define the exact results: on random small matrices with uneven
 exposures, the ranking must equal the reference in order and in every
 provenance float, and the imputed matrix must equal it in codes,
-exposures, audit log and idea texts.
+exposures, audit log and idea texts. Mean imputation must equal its
+per-column loop in every bit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from delib import (
     Ranking,
     elicitation_ranking,
     estimate_support,
+    impute_mean,
     imputed_approvals,
 )
 
@@ -94,3 +97,32 @@ def test_imputed_approvals_equal_the_per_cell_loop(matrix, threshold):
     assert filled.ideas == expected.ideas
     assert filled.active_participants == expected.active_participants
     assert matrix.codes().tolist() == before.tolist()
+
+
+def reference_impute_mean(matrix):
+    codes = matrix.codes()
+    known = codes >= 0
+    values = codes.astype(float)
+    for p in range(matrix.n_ideas):
+        col_known = known[:, p]
+        values[~col_known, p] = values[col_known, p].mean() if col_known.any() else 0.5
+    return values, ~known
+
+
+@st.composite
+def tall_matrices(draw):
+    # columns long enough for NumPy's pairwise summation to split them
+    n, m = draw(st.integers(1, 400)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.choice([-1, 0, 1], size=(n, m), p=rng.dirichlet(np.ones(3)))
+    return AttitudeMatrix.from_dense(np.where(codes < 0, None, codes).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(exposed_matrices().filter(lambda matrix: matrix.n_participants and matrix.n_ideas) | tall_matrices())
+def test_impute_mean_equals_the_per_column_loop_bit_for_bit(matrix):
+    values, imputed_mask = reference_impute_mean(matrix)
+    result = impute_mean(matrix)
+    assert result.values.dtype == values.dtype
+    assert np.array_equal(result.values.view(np.int64), values.view(np.int64))
+    assert np.array_equal(result.imputed_mask, imputed_mask)
