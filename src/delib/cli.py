@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .landscape import build_landscape
+from .landscape import CLUSTER_SPACES, build_landscape
 from .loop import LoopConfig, plan_for_policy, run_loop
 from .rankings import elicitation_ranking, proportional_ranking
 from .routing import ElicitationWeights
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scape.add_argument("--out", required=True, help="output directory")
     p_scape.add_argument("--k", type=int, required=True)
     p_scape.add_argument("--seed", type=int, required=True)
-    p_scape.add_argument("--space", choices=["embedded", "full"], default="embedded")
+    p_scape.add_argument("--space", choices=CLUSTER_SPACES, default="embedded")
     p_scape.set_defaults(func=_cmd_landscape)
 
     p_route = sub.add_parser("route", help="plan the next attitude queries")

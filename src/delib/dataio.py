@@ -381,10 +381,19 @@ def plan_to_dict(plan: QueryPlan) -> dict:
     }
 
 
+def _output_dir(out_dir) -> Path:
+    """``out_dir``, created if missing; FormatError if it cannot be."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FormatError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def write_landscape(scape: Landscape, out_dir) -> None:
     """embedding.csv, components.csv and audit.json under ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     points = scape.embedding.points
     assignment = scape.clustering.assignment
     rows = [
@@ -421,8 +430,7 @@ def write_landscape(scape: Landscape, out_dir) -> None:
 
 def write_timeline(timeline: MetricsTimeline, out_dir) -> None:
     """timeline.csv, a plot-ready long CSV, and summary.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     header, rows = csv_table(timeline)
     write_csv_rows(out / "timeline.csv", header, rows)
     long_rows = [[timeline.policy, str(timeline.seed), *row] for row in rows]

@@ -20,15 +20,15 @@ from math import comb
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .landscape import build_landscape
+from .landscape import CLUSTER_SPACES, build_landscape
 from .matrix import AttitudeMatrix
 from .population import (
     PopulationConfig,
     PopulationModel,
-    config_field,
-    config_section,
+    config_to_dict,
     generate_population,
     ground_truth,
+    parse_config,
     sample_attitudes,
     step_churn,
 )
@@ -86,6 +86,8 @@ class LoopConfig:
             raise ParameterError(f"unknown routing policy {self.routing_policy!r}")
         if self.slate_solver not in ("auto", "greedy", "exact"):
             raise ParameterError(f"unknown slate solver {self.slate_solver!r}")
+        if self.landscape_space not in CLUSTER_SPACES:
+            raise ParameterError(f"unknown clustering space {self.landscape_space!r}")
         if self.rounds < 0 or self.query_budget_per_round < 0:
             raise ParameterError("rounds and budget must be non-negative")
         if self.initial_ideas < 0 or self.ideas_per_round < 0:
@@ -96,49 +98,10 @@ class LoopConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "LoopConfig":
         """Parse the JSON form; a missing or malformed field raises FormatError."""
-        config_section(raw, cls)
-        weights = config_field(raw, "weights", lambda section: section, {})
-        config_section(weights, ElicitationWeights, "weights.")
-        return cls(
-            population=config_field(raw, "population", PopulationConfig.from_dict),
-            rounds=config_field(raw, "rounds", int),
-            query_budget_per_round=config_field(raw, "query_budget_per_round", int),
-            routing_policy=config_field(raw, "routing_policy", str, "uniform"),
-            initial_ideas=config_field(raw, "initial_ideas", int, 0),
-            ideas_per_round=config_field(raw, "ideas_per_round", int, 0),
-            slate_k=config_field(raw, "slate_k", int, 3),
-            scoring=ScoringKind.parse(config_field(raw, "scoring", str, "harmonic")),
-            slate_solver=config_field(raw, "slate_solver", str, "auto"),
-            landscape_k=config_field(raw, "landscape_k", int, 2),
-            landscape_space=config_field(raw, "landscape_space", str, "embedded"),
-            weights=ElicitationWeights(
-                c_explore=config_field(weights, "c_explore", float, 1.0, where="weights."),
-                prior_mean=config_field(weights, "prior_mean", float, 0.5, where="weights."),
-                prior_weight=config_field(weights, "prior_weight", float, 0.0, where="weights."),
-            ),
-            seed=config_field(raw, "seed", int, 0),
-        )
+        return parse_config(cls, raw)
 
     def to_dict(self) -> dict:
-        return {
-            "population": self.population.to_dict(),
-            "rounds": self.rounds,
-            "query_budget_per_round": self.query_budget_per_round,
-            "routing_policy": self.routing_policy,
-            "initial_ideas": self.initial_ideas,
-            "ideas_per_round": self.ideas_per_round,
-            "slate_k": self.slate_k,
-            "scoring": self.scoring.value,
-            "slate_solver": self.slate_solver,
-            "landscape_k": self.landscape_k,
-            "landscape_space": self.landscape_space,
-            "weights": {
-                "c_explore": self.weights.c_explore,
-                "prior_mean": self.weights.prior_mean,
-                "prior_weight": self.weights.prior_weight,
-            },
-            "seed": self.seed,
-        }
+        return config_to_dict(self)
 
 
 @dataclass(frozen=True)

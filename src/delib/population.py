@@ -15,7 +15,10 @@ so whole trajectories replay exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,64 +40,99 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.default_rng([int(e) & _MASK for e in entropy])
 
 
-_REQUIRED = object()
+def _scalar(hint, value):
+    """``value`` as an int, float or str; no bool, no string for a number, no fraction for an int."""
+    if isinstance(value, bool) or not isinstance(value, str if hint is str else (int, float)):
+        raise TypeError(f"expected a JSON {hint.__name__}, got {value!r}")
+    if hint is int and value != int(value):
+        raise ValueError(f"expected an integral number, got {value!r}")
+    return hint(value)
 
 
-def config_section(raw, cls, where: str = "") -> dict:
-    """``raw``, checked to be a JSON object whose keys are fields of ``cls``.
+def _convert(hint, value, name: str, default=MISSING):
+    """``value`` read as the field type ``hint``; ``name`` is the field's dotted path."""
+    if is_dataclass(hint):
+        return parse_config(hint, value, name + ".", None if default is MISSING else default)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON array, got {value!r}")
+        return tuple(_convert(get_args(hint)[0], item, f"{name}[{j}]") for j, item in enumerate(value))
+    if get_origin(hint) in (Union, UnionType):
+        # the arm for the value's JSON kind, an array or a scalar
+        arm = next(a for a in get_args(hint) if (get_origin(a) is tuple) == isinstance(value, list))
+        return _convert(arm, value, name)
+    if issubclass(hint, Enum):
+        return hint.parse(_scalar(str, value))
+    return _scalar(hint, value)
 
-    A section that is not an object, or a key that names no field of the
-    dataclass ``cls``, raises :class:`FormatError` naming it by its dotted
-    path (``where`` is the section prefix, e.g. ``"population."``).
+
+def parse_config(cls, raw, where: str = "", base=None):
+    """The config dataclass ``cls`` read from the JSON object ``raw``.
+
+    Every key must name a field. A field that ``raw`` leaves out keeps its
+    value in ``base`` when one is given, else takes the dataclass default;
+    a field with neither is required. Values are read by field type: an
+    ``int`` takes an integral JSON number, a ``float`` any JSON number, a
+    ``str`` a string, an enum its ``parse`` of a string, a tuple an array,
+    and a dataclass a nested section that starts from the field's default.
+    A malformed section, key or value raises :class:`FormatError` naming
+    it by its dotted path (``where`` is the section prefix, e.g.
+    ``"population."``). Ranges and finiteness are left to ``validate``.
     """
     if not isinstance(raw, dict):
         section = where.rstrip(".")
         raise FormatError(f"config section {section!r} must be a JSON object" if section
                           else "config must be a JSON object")
-    known = {f.name for f in fields(cls)}
+    declared = fields(cls)
+    known = {f.name for f in declared}
     for key in raw:
         if key not in known:
             raise FormatError(f"config has an unknown field {where + key!r}")
-    return raw
+    hints = get_type_hints(cls)
+    values = {}
+    for f in declared:
+        name = where + f.name
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if f.name not in raw:
+            if base is None and default is MISSING:
+                raise FormatError(f"config lacks the required field {name!r}")
+            continue
+        try:
+            values[f.name] = _convert(hints[f.name], raw[f.name], name, default)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"config field {name!r} has an invalid value {raw[f.name]!r}") from exc
+    return cls(**values) if base is None else replace(base, **values)
 
 
-def config_field(raw: dict, key: str, convert, default=_REQUIRED, *, where: str = ""):
-    """``convert(raw[key])``, or ``default`` when the key is absent.
+def config_to_dict(value):
+    """The JSON form of a config dataclass: enums by value, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: config_to_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [config_to_dict(item) for item in value]
+    return value
 
-    ``raw`` is a section checked by :func:`config_section`. A missing
-    required key or a value that ``convert`` rejects raises
-    :class:`FormatError` naming the field by its dotted path.
-    """
-    name = where + key
-    if key not in raw:
-        if default is _REQUIRED:
-            raise FormatError(f"config lacks the required field {name!r}")
-        return default
-    try:
-        return convert(raw[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"config field {name!r} has an invalid value {raw[key]!r}") from exc
+
+def _check_finite(config) -> None:
+    """ParameterError unless every float and float tuple field of the dataclass ``config`` is finite."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if hints[f.name] in (float, tuple[float, ...]) and not np.isfinite(value).all():
+            raise ParameterError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
     mean: tuple[float, ...]
-    cov: float | tuple = 1.0
+    cov: float | tuple[tuple[float, ...], ...] = 1.0
 
     @classmethod
     def from_dict(cls, raw: dict, where: str) -> "MixtureComponent":
-        def cov(value):
-            if isinstance(value, (int, float)):
-                return value
-            return tuple(tuple(float(x) for x in row) for row in value)
-
-        config_section(raw, cls, where)
-        return cls(
-            weight=config_field(raw, "weight", float, where=where),
-            mean=config_field(raw, "mean", lambda value: tuple(float(x) for x in value), where=where),
-            cov=config_field(raw, "cov", cov, 1.0, where=where),
-        )
+        return parse_config(cls, raw, where)
 
 
 def _check_cov(cov, dim: int) -> None:
@@ -135,6 +173,7 @@ class PopulationConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.n0 < 0:
             raise ParameterError("n0 must be non-negative")
         if self.latent_dim < 1:
@@ -152,6 +191,7 @@ class PopulationConfig:
         if not self.mixture:
             raise ParameterError("mixture needs at least one component")
         for component in self.mixture:
+            _check_finite(component)
             if component.weight <= 0:
                 raise ParameterError("mixture weights must be positive")
             if len(component.mean) != self.latent_dim:
@@ -165,43 +205,10 @@ class PopulationConfig:
         A missing or malformed field raises FormatError naming it, e.g.
         ``population.mixture[0].mean``.
         """
-        where = "population."
-        config_section(raw, cls, where)
-        mixture = tuple(
-            MixtureComponent.from_dict(component, f"{where}mixture[{j}].")
-            for j, component in enumerate(config_field(raw, "mixture", list, where=where))
-        )
-        return cls(
-            n0=config_field(raw, "n0", int, where=where),
-            approval_radius=config_field(raw, "approval_radius", float, where=where),
-            latent_dim=config_field(raw, "latent_dim", int, 2, where=where),
-            mixture=mixture,
-            noise_sigma=config_field(raw, "noise_sigma", float, 0.0, where=where),
-            arrival_rate=config_field(raw, "arrival_rate", float, 0.0, where=where),
-            departure_prob=config_field(raw, "departure_prob", float, 0.0, where=where),
-            idea_jitter=config_field(raw, "idea_jitter", float, 0.25, where=where),
-            seed=config_field(raw, "seed", int, 0, where=where),
-        )
+        return parse_config(cls, raw, "population.")
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "latent_dim": self.latent_dim,
-            "mixture": [
-                {
-                    "weight": c.weight,
-                    "mean": list(c.mean),
-                    "cov": c.cov if isinstance(c.cov, (int, float)) else [list(r) for r in c.cov],
-                }
-                for c in self.mixture
-            ],
-            "approval_radius": self.approval_radius,
-            "noise_sigma": self.noise_sigma,
-            "arrival_rate": self.arrival_rate,
-            "departure_prob": self.departure_prob,
-            "idea_jitter": self.idea_jitter,
-            "seed": self.seed,
-        }
+        return config_to_dict(self)
 
 
 @dataclass

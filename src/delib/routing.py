@@ -60,15 +60,33 @@ class QueryPlan:
     shortfall: int = 0
 
 
-def wilson_interval(approvals: int, responses: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """95% score interval for a binomial proportion; [0, 1] with no data."""
-    if responses == 0:
-        return 0.0, 1.0
-    phat = approvals / responses
-    denom = 1.0 + z * z / responses
-    center = (phat + z * z / (2 * responses)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / responses + z * z / (4 * responses * responses)) / denom
-    return center - half, center + half
+def wilson_interval(approvals, responses, z: float = _WILSON_Z):
+    """95% score interval for a binomial proportion; [0, 1] with no data.
+
+    Int counts give two floats, arrays of counts two arrays.
+    """
+    approvals = np.asarray(approvals, dtype=float)
+    responses = np.asarray(responses, dtype=float)
+    n = np.maximum(responses, 1.0)  # stands in for 0, whose interval is fixed below
+    phat = approvals / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    low = np.where(responses == 0, 0.0, center - half)
+    high = np.where(responses == 0, 1.0, center + half)
+    if low.ndim == 0:
+        return float(low), float(high)
+    return low, high
+
+
+def _smoothed_supports(approvals, responses, weights: ElicitationWeights):
+    """(mean, ci_low, ci_high) per count: the prior-smoothed mean and the
+    Wilson interval on the raw counts, widened to contain the mean."""
+    denom = responses + weights.prior_weight
+    means = np.full(np.shape(denom), weights.prior_mean, dtype=float)
+    np.divide(approvals + weights.prior_mean * weights.prior_weight, denom, out=means, where=denom > 0)
+    low, high = wilson_interval(approvals, responses)
+    return means, np.minimum(low, means), np.maximum(high, means)
 
 
 def estimate_support(matrix: AttitudeMatrix, p: IdeaId, weights: ElicitationWeights = ElicitationWeights()) -> SupportEstimate:
@@ -78,32 +96,13 @@ def estimate_support(matrix: AttitudeMatrix, p: IdeaId, weights: ElicitationWeig
     that ci_low <= mean <= ci_high always holds.
     """
     approvals, responses = matrix.column_counts(p)
-    return _estimate_from_counts(p, approvals, responses, weights)
-
-
-def _estimate_from_counts(p: IdeaId, approvals: int, responses: int, weights: ElicitationWeights) -> SupportEstimate:
-    denominator = responses + weights.prior_weight
-    if denominator == 0:
-        mean = weights.prior_mean
-    else:
-        mean = (approvals + weights.prior_mean * weights.prior_weight) / denominator
-    low, high = wilson_interval(approvals, responses)
-    return SupportEstimate(
-        idea=p,
-        mean=mean,
-        ci_low=min(low, mean),
-        ci_high=max(high, mean),
-        sample_size=responses,
-    )
+    mean, low, high = map(float, _smoothed_supports(approvals, responses, weights))
+    return SupportEstimate(idea=p, mean=mean, ci_low=low, ci_high=high, sample_size=responses)
 
 
 def estimate_all_supports(matrix: AttitudeMatrix, weights: ElicitationWeights = ElicitationWeights()) -> np.ndarray:
     """Smoothed support means for every idea at once."""
-    approvals, responses = matrix.column_counts_all()
-    denom = responses + weights.prior_weight
-    prior = weights.prior_mean * weights.prior_weight
-    means = np.full(denom.shape, weights.prior_mean, dtype=float)
-    return np.divide(approvals + prior, denom, out=means, where=denom > 0)
+    return _smoothed_supports(*matrix.column_counts_all(), weights)[0]
 
 
 # -- plan building -----------------------------------------------------------
@@ -216,13 +215,9 @@ def plan_uncertainty(matrix: AttitudeMatrix, active, budget: int,
         raise ParameterError("budget must be non-negative")
     available = _unknown_by_idea(matrix, _active_set(matrix, active))
     m = matrix.n_ideas
-    widths = np.empty(m)
-    responses = np.empty(m)
-    counts = zip(*(column.tolist() for column in matrix.column_counts_all()))
-    for p, (approvals, sample_size) in enumerate(counts):
-        est = _estimate_from_counts(p, approvals, sample_size, weights)
-        widths[p] = est.ci_high - est.ci_low
-        responses[p] = est.sample_size
+    approvals, responses = matrix.column_counts_all()
+    _, low, high = _smoothed_supports(approvals, responses, weights)
+    widths = high - low
     # the discounted width of every idea that still has an unknown cell;
     # exhausted ideas sit at -inf so argmax never returns them
     effective = np.where([bool(candidates) for candidates in available], widths, -np.inf)

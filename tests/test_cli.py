@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -125,6 +126,49 @@ def simulate_config():
         "landscape_k": 2,
         "seed": 4,
     }
+
+
+def churn_simulate_config():
+    """``simulate_config`` with a partial ``weights`` section, churn, noise and new ideas."""
+    config = simulate_config()
+    config["population"].update(arrival_rate=1.5, departure_prob=0.2, noise_sigma=0.3)
+    config.update(rounds=4, routing_policy="uncertainty", ideas_per_round=1,
+                  weights={"c_explore": 0.5, "prior_weight": 2.0})
+    return config
+
+
+def required_simulate_config():
+    """``simulate_config`` with every optional field left out, ``mixture`` included."""
+    return {"population": {"n0": 6, "approval_radius": 3.0}, "rounds": 2, "query_budget_per_round": 6}
+
+
+SIMULATE_CONFIGS = {"churn": churn_simulate_config, "required": required_simulate_config}
+
+# SHA-256 of each file ``delib simulate`` writes; the "required" files are
+# also those of that config with the default mixture written out.
+SIMULATE_FINGERPRINTS = {
+    "churn/timeline.csv": "4992398c0dac821df1814d56761ac72777cfc1712ed8f331a2695b210a4502ea",
+    "churn/timeline_long.csv": "8ac4faacfb2f27a33d9fe9604c5d095571588824b531687dee9e36a2f9a07920",
+    "churn/summary.json": "efebdfec9505e7a6f03cae540b6011f185c35d3487af238c756dcecc5bd5a20b",
+    "required/timeline.csv": "c549889928555958657d529f9c3de2966be598da628ff8c54114df68bf03b454",
+    "required/timeline_long.csv": "e78ece552dae0799b0fb8e9c7cf4d46177130c5fe9b50bbcaefd0c9d54e0d2b1",
+    "required/summary.json": "08fb01aa20f22fdaaf14fe10963f44a4fd26a96ef57db79eb173c37552f8dd25",
+}
+
+
+def simulate_in_process(tmp_path, config, out=None):
+    """The exit code of ``delib simulate`` on ``config``, run through ``cli.main``."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return main(["simulate", "--config", str(config_path), "--out", str(out or tmp_path / "run")])
+
+
+@pytest.mark.parametrize("name", list(SIMULATE_CONFIGS))
+def test_simulate_fingerprints(tmp_path, name):
+    assert simulate_in_process(tmp_path, SIMULATE_CONFIGS[name]()) == 0
+    for file in ("timeline.csv", "timeline_long.csv", "summary.json"):
+        digest = hashlib.sha256((tmp_path / "run" / file).read_bytes()).hexdigest()
+        assert digest == SIMULATE_FINGERPRINTS[f"{name}/{file}"], file
 
 
 def run_simulate(tmp_path, config, *extra):
@@ -275,3 +319,70 @@ def test_unreadable_input_exits_with_a_format_error(tmp_path, capsys, command, k
     assert code == 2, err
     assert err.startswith("format error: ")
     assert "Traceback" not in err
+
+
+def test_out_naming_an_existing_file_exits_with_a_format_error(tmp_path, capsys, matrix_csv):
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    codes = [main(["landscape", "--k", "2", "--seed", "1", "--input", matrix_csv, "--out", str(existing)]),
+             simulate_in_process(tmp_path, simulate_config(), existing)]
+    err = capsys.readouterr().err
+    assert codes == [2, 2], err
+    assert err.count("format error: ") == 2 and "Traceback" not in err
+
+
+FLOAT_FIELDS = [
+    ("population", "approval_radius"),
+    ("population", "noise_sigma"),
+    ("population", "arrival_rate"),
+    ("population", "departure_prob"),
+    ("population", "idea_jitter"),
+    ("population", "mixture", 0, "weight"),
+    ("population", "mixture", 0, "cov"),
+    ("weights", "c_explore"),
+    ("weights", "prior_mean"),
+    ("weights", "prior_weight"),
+]
+
+INT_FIELDS = [
+    ("population", "n0"),
+    ("population", "latent_dim"),
+    ("population", "seed"),
+    ("rounds",),
+    ("query_budget_per_round",),
+    ("initial_ideas",),
+    ("ideas_per_round",),
+    ("slate_k",),
+    ("landscape_k",),
+    ("seed",),
+]
+
+SECTIONS = [(), ("population",), ("population", "mixture", 0), ("weights",)]
+
+CONFIG_VALUE_CASES = [
+    *[(path, value, 3) for path in [*FLOAT_FIELDS, ("population", "mixture", 0, "mean", 1)]
+      for value in (float("nan"), float("inf"), float("-inf"))],
+    *[(path, value, 2) for path in INT_FIELDS for value in (2.7, True, "3", None, float("nan"), float("inf"))],
+    *[(path, value, 2) for path in FLOAT_FIELDS for value in (True, "wide")],
+    (("routing_policy",), 5, 2),
+    (("scoring",), 5, 2),
+    (("landscape_space",), "bogus", 3),
+    *[(path, [], 2) for path in SECTIONS],
+]
+
+
+@pytest.mark.parametrize("path, value, code", CONFIG_VALUE_CASES, ids=repr)
+def test_config_values_exit_with_a_documented_code(tmp_path, capsys, recwarn, path, value, code):
+    # In-process like the table above; pytest records warnings instead of
+    # printing them, so RuntimeWarnings are read from ``recwarn``.
+    config = simulate_config()
+    config["weights"] = {"c_explore": 1.0, "prior_mean": 0.5, "prior_weight": 0.0}
+    if path:
+        _set(config, path, value)
+    else:
+        config = value
+    assert simulate_in_process(tmp_path, config) == code
+    err = capsys.readouterr().err
+    assert err.startswith("format error: " if code == 2 else "parameter error: "), err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

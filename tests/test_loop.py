@@ -80,6 +80,12 @@ def test_unknown_policy_rejected():
         run_loop(small_config(routing_policy="psychic"))
 
 
+def test_unknown_landscape_space_rejected_before_any_round():
+    # no ideas, so no round would ever reach the landscape
+    with pytest.raises(ParameterError, match="clustering space"):
+        run_loop(small_config(initial_ideas=0, landscape_space="bogus"))
+
+
 def test_full_budget_noise_free_matches_oracle_from_round_one():
     config = small_config(
         rounds=3,

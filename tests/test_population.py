@@ -68,6 +68,23 @@ def test_invalid_configs_rejected():
             PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), cov),)).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field", ["approval_radius", "noise_sigma", "arrival_rate", "departure_prob", "idea_jitter", "weight", "mean"]
+)
+def test_non_finite_values_are_parameter_errors(field, value):
+    if field == "weight":
+        config = PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(value, (0.0, 0.0)),))
+    elif field == "mean":
+        config = PopulationConfig(n0=1, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, value)),))
+    else:
+        config = PopulationConfig(**{"n0": 1, "approval_radius": 1.0, field: value})
+    with pytest.raises(ParameterError, match="finite"):
+        config.validate()
+    with pytest.raises(ParameterError, match="finite"):
+        generate_population(config)
+
+
 # symmetric PSD, among them singular ones and one a rounding error below PSD
 ACCEPTED_COVARIANCES = (
     0, 0.0, 2.5, ((1.0, 0.5), (0.5, 2.0)), ((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 1.0)),

@@ -5,7 +5,8 @@ distinct unknown cells of active participants, in draw order; it fills
 min(budget, open cells) with positive position weights; its shortfall is
 the unfilled budget; and the same seed replays the same plan. The
 planners also draw exactly the plans of the plain per-cell loops kept
-here as references.
+here as references, and the array estimator returns, bit for bit, what
+the scalar estimator kept here computes for each idea.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from delib import (
     plan_ranking_proportional,
     plan_uncertainty,
     plan_uniform,
+    wilson_interval,
 )
+from delib.routing import estimate_all_supports
 
 
 @st.composite
@@ -44,7 +47,28 @@ def planner_inputs(draw):
     return matrix, active, budget, seed
 
 
-# -- reference planners: one Python step per cell, idea and draw --------------
+# -- reference estimator and planners: one Python step per count, cell, idea and draw
+
+
+def reference_wilson(approvals, responses, z=1.959963984540054):
+    if responses == 0:
+        return 0.0, 1.0
+    phat = approvals / responses
+    denom = 1.0 + z * z / responses
+    center = (phat + z * z / (2 * responses)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / responses + z * z / (4 * responses * responses)) / denom
+    return center - half, center + half
+
+
+def reference_estimate(approvals, responses, weights):
+    """(mean, ci_low, ci_high): the smoothed mean and the Wilson interval widened to contain it."""
+    denominator = responses + weights.prior_weight
+    if denominator == 0:
+        mean = weights.prior_mean
+    else:
+        mean = (approvals + weights.prior_mean * weights.prior_weight) / denominator
+    low, high = reference_wilson(approvals, responses)
+    return mean, min(low, mean), max(high, mean)
 
 
 def _usable(matrix, active):
@@ -93,9 +117,9 @@ def reference_uncertainty(matrix, active, budget, weights=ElicitationWeights(), 
     m = matrix.n_ideas
     widths, responses, pending = np.empty(m), np.empty(m), np.zeros(m)
     for p in range(m):
-        est = estimate_support(matrix, p, weights)
-        widths[p] = est.ci_high - est.ci_low
-        responses[p] = est.sample_size
+        approvals, responses[p] = matrix.column_counts(p)
+        _, low, high = reference_estimate(approvals, int(responses[p]), weights)
+        widths[p] = high - low
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < budget:
@@ -158,3 +182,33 @@ def test_planners_draw_the_reference_plans(inputs, c_explore, prior_mean, prior_
             == reference_ranking(matrix, ranking, active, budget, seed, position_weight=steep))
     assert (plan_uncertainty(matrix, active, budget, weights, seed=seed)
             == reference_uncertainty(matrix, active, budget, weights, seed=seed))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(planner_inputs(), st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 4.0))
+def test_estimates_equal_the_scalar_reference_bit_for_bit(inputs, c_explore, prior_mean, prior_weight):
+    matrix = inputs[0]
+    weights = ElicitationWeights(c_explore=c_explore, prior_mean=prior_mean, prior_weight=prior_weight)
+    counts = [matrix.column_counts(p) for p in range(matrix.n_ideas)]
+    expected = [reference_estimate(a, r, weights) for a, r in counts]
+    estimates = [estimate_support(matrix, p, weights) for p in range(matrix.n_ideas)]
+    assert [type(x) for e in estimates for x in (e.mean, e.ci_low, e.ci_high)] == [float] * 3 * len(counts)
+    assert _bits([(e.mean, e.ci_low, e.ci_high) for e in estimates]) == _bits(expected)
+    assert _bits(estimate_all_supports(matrix, weights)) == _bits([mean for mean, _, _ in expected])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20))
+def test_wilson_interval_on_arrays_equals_the_scalar_reference_bit_for_bit(pairs):
+    pairs = [(min(a, r), r) for a, r in pairs]
+    expected = [reference_wilson(a, r) for a, r in pairs]
+    scalars = [wilson_interval(a, r) for a, r in pairs]
+    assert all(type(low) is float and type(high) is float for low, high in scalars)
+    assert _bits(scalars) == _bits(expected)
+    low, high = wilson_interval(np.array([a for a, _ in pairs], dtype=np.int64),
+                                np.array([r for _, r in pairs], dtype=np.int64))
+    assert _bits(list(zip(low, high))) == _bits(expected)
