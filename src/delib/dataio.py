@@ -87,13 +87,18 @@ def _round_floats(value):
 
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def json_text(value) -> str:
@@ -128,6 +133,7 @@ def write_csv_rows(path, header: list[str], rows) -> None:
 _CELL_TEXT = np.array(["", "0", "1"], dtype=object)  # indexed by attitude code + 1
 _CELL_ATTITUDE = {text: Attitude(code - 1) for code, text in enumerate(_CELL_TEXT)}
 _CELL_MAPPING = "1=approve, 0=disapprove, empty=unknown"
+_FIELD_LIMIT = 131_072  # the csv module's default field_size_limit, which the reader keeps
 
 
 def _cell_texts(matrix: AttitudeMatrix) -> list[list[str]]:
@@ -188,7 +194,8 @@ def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
     """Write the wide format; idea texts become headers.
 
     A text already in the header gets `` [id]`` suffixes until it is
-    unused, so the reader never meets a duplicated header.
+    unused, so the reader never meets a duplicated header. A header longer
+    than the reader's field limit raises ``FormatError``.
     """
     texts = []
     seen: set[str] = set()
@@ -196,6 +203,10 @@ def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
         text = idea.text
         while text in seen:
             text = f"{text} [{idea.id}]"
+        if len(text) > _FIELD_LIMIT:
+            raise FormatError(
+                f"idea {idea.id}: header of {len(text)} characters exceeds the CSV field limit of {_FIELD_LIMIT}"
+            )
         seen.add(text)
         texts.append(text)
     rows = [[str(i)] + cells for i, cells in enumerate(_cell_texts(matrix))]

@@ -26,14 +26,7 @@ class CapacityError(DelibError):
 
 
 class NumericalError(DelibError):
-    """An iterative numerical routine failed to converge.
-
-    Carries the last residual so callers can judge how far off it was.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A linear-algebra routine failed on its input."""
 
 
 class FormatError(DelibError):

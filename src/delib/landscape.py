@@ -1,10 +1,10 @@
 """Opinion-landscape pipeline: impute, embed in 2-D, cluster, audit.
 
 The pipeline fills unknown attitudes with column means, projects
-participants onto the top principal directions found by power iteration
-with deflation, clusters the projected points with seeded k-means, and
-finally audits the clustering for groups that a different center would
-serve strictly better.
+participants onto the top eigenvectors of their scatter matrix, clusters
+the projected points with seeded k-means, and finally audits the
+clustering for groups that a different center would serve strictly
+better.
 
 Memory is bounded by the data: the audit measures its candidate centers in
 blocks, so beyond the O(n * m) input it holds O(block * n) floats, with
@@ -29,13 +29,10 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .matrix import AttitudeMatrix
 
-PCA_TOLERANCE = 1e-9
-PCA_MAX_ITERATIONS = 10_000
 KMEANS_MAX_ITERATIONS = 500
 
 CLUSTER_SPACES = ("embedded", "full")
 
-_START_VECTOR_SEED = 0x5EED
 _AUDIT_CHUNK_FLOATS = 1 << 20  # floats per candidate-block temporary, about 8 MB
 
 
@@ -114,52 +111,14 @@ def _as_points(data) -> np.ndarray:
 # -- principal components -------------------------------------------------------
 
 
-def _power_iteration(scatter: np.ndarray, previous: list[np.ndarray], rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Dominant eigenvector of a PSD matrix, orthogonal to ``previous``.
-
-    Each iteration applies the matrix twice (the power method on the
-    squared operator), which preserves the eigenvectors of a PSD matrix
-    while doubling the contraction rate for narrow eigengaps.
-    """
-    m = scatter.shape[0]
-    v = rng.standard_normal(m)
-    for q in previous:
-        v -= (q @ v) * q
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(m)
-        v[len(previous) % m] = 1.0
-    else:
-        v /= norm
-
-    delta = np.inf
-    for _ in range(PCA_MAX_ITERATIONS):
-        w = scatter @ (scatter @ v)
-        for q in previous:
-            w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm < 1e-30:
-            # no variance left in this direction: v is a null eigenvector
-            return v, 0.0
-        w /= norm
-        delta = float(np.linalg.norm(w - v))
-        v = w
-        if delta < PCA_TOLERANCE:
-            return v, float(v @ scatter @ v)
-    raise NumericalError(
-        f"power iteration did not reach {PCA_TOLERANCE} within "
-        f"{PCA_MAX_ITERATIONS} iterations (residual {delta:.3e})",
-        residual=delta,
-    )
-
-
 def pca_2d(complete, d: int = 2) -> Embedding:
-    """Top-d principal directions via power iteration with deflation.
+    """Top-d principal directions from the eigendecomposition of the scatter.
 
-    Columns are mean-centered first. Each component's largest-magnitude
-    entry is made positive so the embedding is reproducible. The objective
-    is the total squared residual between the centered rows and their
-    projections.
+    Columns are mean-centered first. The components are the eigenvectors of
+    the m x m scatter matrix for its d largest eigenvalues, in descending
+    order. Each component's largest-magnitude entry is made positive so the
+    embedding is reproducible. The objective is the total squared residual
+    between the centered rows and their projections.
     """
     data = _as_points(complete)
     n, m = data.shape
@@ -170,20 +129,13 @@ def pca_2d(complete, d: int = 2) -> Embedding:
 
     column_means = data.mean(axis=0)
     centered = data - column_means
-    scatter = centered.T @ centered
-    rng = np.random.default_rng(_START_VECTOR_SEED)
-
-    components: list[np.ndarray] = []
-    deflated = scatter.copy()
-    for _ in range(d):
-        vector, eigenvalue = _power_iteration(deflated, components, rng)
-        peak = int(np.argmax(np.abs(vector)))
-        if vector[peak] < 0:
-            vector = -vector
-        components.append(vector)
-        deflated = deflated - eigenvalue * np.outer(vector, vector)
-
-    basis = np.vstack(components)
+    try:
+        _, vectors = np.linalg.eigh(centered.T @ centered)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    basis = vectors[:, -d:][:, ::-1].T.copy()  # eigh sorts eigenvalues ascending
+    peaks = basis[np.arange(d), np.abs(basis).argmax(axis=1)]
+    basis[peaks < 0] *= -1
     points = centered @ basis.T
     residual = centered - points @ basis
     objective = float((residual**2).sum())

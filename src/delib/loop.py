@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .landscape import CLUSTER_SPACES, build_landscape
 from .matrix import AttitudeMatrix
 from .population import (
@@ -282,19 +282,11 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     # the landscape needs a 2-d embedding: at least two participants and
     # two ideas, and no more clusters than participants
     if snap.n_participants >= 2 and snap.n_ideas >= 2 and config.landscape_k <= snap.n_participants:
-        try:
-            scape = build_landscape(
-                snap, config.landscape_k, _derive_seed(config.seed, _TAG_LANDSCAPE, round_index),
-                space=config.landscape_space,
-            )
-            recovery = match_accuracy(scape.clustering.assignment, truth.blocs[: snap.n_participants])
-        except NumericalError:
-            # degenerate eigengap at this round: skip the monitoring metric
-            # rather than abort the whole simulation
-            recovery = float("nan")
-            note = f"landscape-nonconvergence round {round_index}"
-            if note not in notes:
-                notes.append(note)
+        scape = build_landscape(
+            snap, config.landscape_k, _derive_seed(config.seed, _TAG_LANDSCAPE, round_index),
+            space=config.landscape_space,
+        )
+        recovery = match_accuracy(scape.clustering.assignment, truth.blocs[: snap.n_participants])
     else:
         recovery = float("nan")
 

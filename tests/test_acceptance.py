@@ -161,7 +161,7 @@ def test_criterion_4_pca_oracle():
             total = (centered**2).sum()
             assert total == pytest.approx(explained + embedding.objective, abs=1e-8)
 
-    _report(4, "power-iteration embedding matches eigendecomposition", body)
+    _report(4, "embedding matches eigendecomposition", body)
 
 
 # -- 5: clustering monotone and deterministic ----------------------------------------

@@ -324,11 +324,15 @@ def test_unreadable_input_exits_with_a_format_error(tmp_path, capsys, command, k
 def test_out_naming_an_existing_file_exits_with_a_format_error(tmp_path, capsys, matrix_csv):
     existing = tmp_path / "existing"
     existing.write_text("")
+    directory = tmp_path / "outdir"
+    directory.mkdir()
     codes = [main(["landscape", "--k", "2", "--seed", "1", "--input", matrix_csv, "--out", str(existing)]),
-             simulate_in_process(tmp_path, simulate_config(), existing)]
+             simulate_in_process(tmp_path, simulate_config(), existing),
+             main(["rank", "--mode", "proportional", "--input", matrix_csv, "--out", str(directory)])]
     err = capsys.readouterr().err
-    assert codes == [2, 2], err
-    assert err.count("format error: ") == 2 and "Traceback" not in err
+    assert codes == [2, 2, 2], err
+    assert err.count("format error: ") == 3 and "Traceback" not in err
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 FLOAT_FIELDS = [

@@ -131,17 +131,17 @@ CLI_FINGERPRINTS = {
     "route/ranking/csv": "1b2a83c7107615cec22726383f02b19592fabe379a47b91c2c3abb5204b5b1ad",
     "route/uncertainty/json": "bbf57d12ffd6e8bf9b8ff518aa6566c4de4dff21bc82d1dbd72aa47641f3a63c",
     "route/uncertainty/csv": "0c0ae73b41368414b6d55f80936d12dd1647a82fc087af0fdefe8a2227c4607d",
-    "landscape/embedded-k2/embedding.csv": "847c3d722551a037d5b4a18c183594545e1209cdc4b985db774901eea11c0fe1",
-    "landscape/embedded-k2/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
-    "landscape/embedded-k2/audit.json": "45ce5937f736d9d691d2e3ec49f55849ddd425aebc5e318e59415bd3f6e1bda1",
-    "landscape/embedded-k3/embedding.csv": "a44d446b06328db2214d8e42e99fb3ac4c7f5ea0ba20a7bcf3bf3bc3bd3c85c6",
-    "landscape/embedded-k3/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
-    "landscape/embedded-k3/audit.json": "d7b455f283f497f44ec0d3ab36a649b835a6acacc9fd3066b49555cb9e3736c5",
-    "landscape/full-k2/embedding.csv": "a2c3d89703ae18ed6b45b2f6b702ca62709428d7eb547c8bc5c910ca41fa5674",
-    "landscape/full-k2/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/embedded-k2/embedding.csv": "d588bc1ba55f9b0915a8f2d454a75cc90d3431bc422d82eeba4887071aaa47dd",
+    "landscape/embedded-k2/components.csv": "44233175204dfaaea2593f0ffefe6d0da29b34c65f126b26f44d1371b2ffa843",
+    "landscape/embedded-k2/audit.json": "14590f0fbbbd9b9c2d555ba998ee3aa26712af9425c2a94f8acd7cd98918c5ec",
+    "landscape/embedded-k3/embedding.csv": "69a549ea2657ed8271079028c42725dab8bea911babc016c15d8f1577b483b0b",
+    "landscape/embedded-k3/components.csv": "44233175204dfaaea2593f0ffefe6d0da29b34c65f126b26f44d1371b2ffa843",
+    "landscape/embedded-k3/audit.json": "a30e2f58ee68a5cd7960684daef8736677ce4d00cb5bb26ff302edcdaf2f0521",
+    "landscape/full-k2/embedding.csv": "8a96528c01d5d7fdaebdb99f50bda6bc28fcc16fc1df00048e51bf06dd172cd6",
+    "landscape/full-k2/components.csv": "44233175204dfaaea2593f0ffefe6d0da29b34c65f126b26f44d1371b2ffa843",
     "landscape/full-k2/audit.json": "d53abc98ab6b3c0e0a1d37defad31ed1ff0abfe960197f18ed14916cc635719f",
-    "landscape/full-k6/embedding.csv": "93fb15262bcc61321eca8ec87394c50d84ae9de8f7d8ce12fbe430212f0b7ce9",
-    "landscape/full-k6/components.csv": "90837ed7af9110de53e630e6ee178d14c0fb4f38518a602157eb8f580d5eb388",
+    "landscape/full-k6/embedding.csv": "50013f9d3c0005ec75cbcd4f5522262080fed41bb1a139b0afc4df590d9a5f2d",
+    "landscape/full-k6/components.csv": "44233175204dfaaea2593f0ffefe6d0da29b34c65f126b26f44d1371b2ffa843",
     "landscape/full-k6/audit.json": "f4c854a057bd314bcdbff5b223f7a976fc4974c13c125febed5459ce9970aa31",
 }
 

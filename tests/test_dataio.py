@@ -105,6 +105,18 @@ def test_wide_export_quotes_a_carriage_return(tmp_path):
     assert [idea.text for idea in loaded.ideas] == ["a\rb", "c\r\nd"]
 
 
+def test_wide_export_refuses_a_header_the_reader_rejects(tmp_path):
+    # the reader keeps the csv module's 131,072-character field limit
+    longest = "x" * 131_072
+    path = tmp_path / "m.csv"
+    export_wide_csv(AttitudeMatrix.from_dense([[1]], texts=[longest]), path)
+    assert [idea.text for idea in import_wide_csv(path)[0].ideas] == [longest]
+    # the duplicate's " [1]" suffix pushes its header over the limit
+    with pytest.raises(FormatError, match="idea 1"):
+        export_wide_csv(AttitudeMatrix.from_dense([[1, 0]], texts=[longest, longest]), tmp_path / "n.csv")
+    assert not (tmp_path / "n.csv").exists()
+
+
 def test_wide_import_counts_known_cells_not_writes(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("p,a\n0,1\n0,0\n")

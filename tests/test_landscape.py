@@ -8,6 +8,7 @@ import pytest
 from delib import (
     AttitudeMatrix,
     Clustering,
+    NumericalError,
     ParameterError,
     build_landscape,
     fairness_audit,
@@ -15,6 +16,7 @@ from delib import (
     kmeans,
     pca_2d,
 )
+from delib.cli import main
 
 
 def random_matrix(rng, n, m, density=0.7):
@@ -139,6 +141,37 @@ def test_pca_parameter_errors():
         pca_2d(np.zeros((1, 4)))
     with pytest.raises(ParameterError):
         pca_2d(np.zeros((5, 3)), d=4)
+
+
+def test_pca_embeds_a_near_degenerate_eigengap():
+    # scatter eigenvalues 9, 4, 4 * (1 - 1e-7)^2, ...: the 2nd and 3rd are
+    # too close for power iteration to separate in 10,000 steps
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(60), rng.standard_normal((60, 8))]))
+    u = q[:, 1:]  # orthogonal to the ones vector, so centering keeps U S V^T
+    v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    s = np.array([3, 2, 2 * (1 - 1e-7), 1, 0.5, 0.4, 0.3, 0.2])
+    data = u @ np.diag(s) @ v.T + 0.5
+    emb = pca_2d(data)
+    centered = data - data.mean(axis=0)
+    eigenvalues = np.sort(np.linalg.eigvalsh(centered.T @ centered))
+    assert emb.objective == pytest.approx(eigenvalues[:-2].sum(), abs=1e-6)
+    assert np.allclose(emb.components @ emb.components.T, np.eye(2), atol=1e-9)
+
+
+def test_a_failed_eigendecomposition_exits_with_a_numerical_error(monkeypatch, tmp_path, capsys):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError):
+        pca_2d(np.eye(3))
+    matrix_csv = tmp_path / "matrix.csv"
+    matrix_csv.write_text("p,a,b\n0,1,0\n1,0,1\n2,1,1\n")
+    code = main(["landscape", "--k", "2", "--seed", "1", "--input", str(matrix_csv), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 5, err
+    assert err.startswith("numerical error: ") and "Traceback" not in err
 
 
 # -- k-means ----------------------------------------------------------------------
