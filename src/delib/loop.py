@@ -226,13 +226,22 @@ def _derive_seed(*parts: int) -> int:
 # -- the loop itself ------------------------------------------------------------
 
 
-def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) -> tuple[tuple[int, ...], float, bool]:
-    """(ideas, score, used_exact) under the configured solver choice."""
+def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str,
+                 harmonic_order: list[int]) -> tuple[tuple[int, ...], float, bool]:
+    """(ideas, score, used_exact) under the configured solver choice.
+
+    ``harmonic_order`` is the full harmonic greedy order of ``approvals``;
+    greedy orders are prefix-consistent, so its first k ideas are the
+    harmonic greedy slate.
+    """
     m = approvals.shape[1]
     if solver == "exact" or (solver == "auto" and (k >= m or comb(m, k) <= ENUMERATION_CAP)):
         ids, score = exact_order_and_score(approvals, k, kind)
         return ids, score, True
-    order, _ = greedy_order(approvals, k, kind)
+    if kind is ScoringKind.HARMONIC:
+        order = harmonic_order[:k]
+    else:
+        order, _ = greedy_order(approvals, k, kind)
     ids = tuple(sorted(order))
     return ids, score_from_approvals(approvals, ids, kind), False
 
@@ -257,9 +266,12 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     truth_active = truth.matrix[active].astype(bool)
     approvals_est = snap.approvals()
 
-    est_ids, _, _ = _solve_slate(approvals_est, config.slate_k, config.scoring, config.slate_solver)
+    est_order, _ = greedy_order(approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
+    oracle_order, _ = greedy_order(truth_active, snap.n_ideas, ScoringKind.HARMONIC)
+
+    est_ids, _, _ = _solve_slate(approvals_est, config.slate_k, config.scoring, config.slate_solver, est_order)
     oracle_ids, oracle_score, oracle_exact = _solve_slate(
-        truth_active, config.slate_k, config.scoring, config.slate_solver
+        truth_active, config.slate_k, config.scoring, config.slate_solver, oracle_order
     )
     if not oracle_exact and "oracle-greedy" not in notes:
         notes.append("oracle-greedy")
@@ -268,8 +280,6 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     covered = truth_active[:, sorted(est_ids)].any(axis=1).mean() if est_ids and active else 0.0
     symmetric_difference = len(set(est_ids) ^ set(oracle_ids))
 
-    est_order, _ = greedy_order(approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
-    oracle_order, _ = greedy_order(truth_active, snap.n_ideas, ScoringKind.HARMONIC)
     position_est = np.empty(snap.n_ideas)
     position_oracle = np.empty(snap.n_ideas)
     position_est[est_order] = np.arange(snap.n_ideas)

@@ -222,6 +222,9 @@ class PopulationModel:
     active: set[int] = field(default_factory=set)
     idea_positions: list[np.ndarray] = field(default_factory=list)
     idea_authors: list[int | None] = field(default_factory=list)
+    # the noise-free matrix as far as ground_truth last computed it
+    _truth: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int8),
+                               init=False, repr=False, compare=False)
 
     @property
     def n_participants(self) -> int:
@@ -344,16 +347,35 @@ def step_churn(model: PopulationModel, round_index: int, seed: int) -> tuple[set
     return arrivals, departures
 
 
+def _truth_block(model: PopulationModel, participants: list, ideas: list) -> np.ndarray:
+    """Noise-free int8 approvals of the given positions, rows by columns."""
+    if not (participants and ideas):
+        return np.zeros((len(participants), len(ideas)), dtype=np.int8)
+    participants, ideas = np.array(participants), np.array(ideas)
+    distances = np.sqrt(((participants[:, None, :] - ideas[None, :, :]) ** 2).sum(axis=2))
+    return (distances < model.config.approval_radius).astype(np.int8)
+
+
 def ground_truth(model: PopulationModel) -> GroundTruth:
-    """Noise-free matrix and exact support rates over active participants."""
+    """Noise-free matrix and exact support rates over active participants.
+
+    The model keeps the matrix from its last call and extends it: distances
+    are computed only for the new columns of the old rows and for the new
+    rows. Positions are append-only and every cell uses the same
+    elementwise expression, so the result equals a full rebuild bit for
+    bit. The returned matrix is a copy; writing into it leaves the model
+    alone.
+    """
     n, m = model.n_participants, model.n_ideas
-    if n and m:
-        participants = np.array(model.participant_positions)
-        ideas = np.array(model.idea_positions)
-        distances = np.sqrt(((participants[:, None, :] - ideas[None, :, :]) ** 2).sum(axis=2))
-        matrix = (distances < model.config.approval_radius).astype(np.int8)
-    else:
-        matrix = np.zeros((n, m), dtype=np.int8)
+    old = model._truth
+    n0, m0 = old.shape
+    if (n0, m0) != (n, m):
+        grown = np.empty((n, m), dtype=np.int8)
+        grown[:n0, :m0] = old
+        grown[:n0, m0:] = _truth_block(model, model.participant_positions[:n0], model.idea_positions[m0:])
+        grown[n0:] = _truth_block(model, model.participant_positions[n0:], model.idea_positions)
+        model._truth = grown
+    matrix = model._truth.copy()
     active = tuple(sorted(model.active))
     if active and m:
         support = matrix[list(active)].mean(axis=0)

@@ -147,15 +147,19 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     The idea at 1-based rank r is drawn with weight 1/r by default; the
     participant is drawn uniformly among active ones whose cell is still
     unknown. Ideas with no unknown cells left are resampled away (their
-    weight is renormalized out). When no unknown pair remains the plan is
-    returned short, with the shortfall recorded.
+    weight is renormalized out). When no unknown pair remains, or every
+    open idea has weight zero, the plan is returned short, with the
+    shortfall recorded. A weight that is not finite, or weights whose sum
+    is not finite, raise :class:`ParameterError`.
 
     Each query makes one idea draw over the open ideas in ascending id
     order and one participant draw over that idea's unknown cells in
-    ascending participant order. A drawn participant is removed in place,
-    keeping that order, so every later draw picks the same participant for
-    the same seed; swapping the last candidate into the hole would be
-    cheaper but would change the plans.
+    ascending participant order. The idea draw searches the normalised
+    CDF of the open weights, which is rebuilt only when an idea runs out
+    of unknown cells. A drawn participant is removed in place, keeping
+    that order, so every later draw picks the same participant for the
+    same seed; swapping the last candidate into the hole would be cheaper
+    but would change the plans.
     """
     if budget < 0:
         raise ParameterError("budget must be non-negative")
@@ -168,6 +172,10 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     weights = np.zeros(matrix.n_ideas)
     for rank, p in enumerate(order, start=1):
         weights[p] = position_weight(rank)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(weights).all() and np.isfinite(weights.sum())
+    if not finite:
+        raise ParameterError("position weights and their sum must be finite")
     if np.any(weights < 0):
         raise ParameterError("position weights must be non-negative")
 
@@ -175,19 +183,25 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     open_weights = weights[open_ideas]
     rng = np.random.default_rng(seed)
     pairs: list[tuple[int, int]] = []
-    for _ in range(budget):
-        if not open_ideas.size:
-            break
-        total = open_weights.sum()
-        if total <= 0:
-            break
-        k = int(rng.choice(len(open_ideas), p=open_weights / total))
+    cdf = None
+    while len(pairs) < budget and open_ideas.size:
+        if cdf is None:
+            total = open_weights.sum()
+            if total <= 0:
+                break
+            # the steps of rng.choice(len(open_ideas), p=open_weights / total):
+            # the same CDF searched with the same one rng.random(), so the
+            # same draw without choice's per-call checks
+            cdf = (open_weights / total).cumsum()
+            cdf /= cdf[-1]
+        k = int(cdf.searchsorted(rng.random(), side="right"))
         p = int(open_ideas[k])
         candidates = available[p]
         pairs.append((candidates.pop(int(rng.integers(len(candidates)))), p))
         if not candidates:
             open_ideas = np.delete(open_ideas, k)
             open_weights = np.delete(open_weights, k)
+            cdf = None
     return QueryPlan(
         pairs=tuple(pairs),
         policy_name="ranking",

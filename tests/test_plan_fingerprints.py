@@ -2,7 +2,8 @@
 
 Each fingerprint is a SHA-256 over the canonical text of seeded outputs:
 for plans the policy, seed, shortfall and every pair in draw order; for
-``run_loop`` every field of every round row, on a churning config and on
+``run_loop`` every field of every round row, on a churning config (with
+harmonic and with coverage scoring, both on the greedy solver) and on
 acceptance criterion 8's full-budget config, where the exact slate solver
 runs. A change to a planner, a slate solver or the landscape that alters
 any plan or timeline for the same input and seed changes a hash and fails
@@ -26,6 +27,7 @@ from delib import (
     LoopConfig,
     MixtureComponent,
     PopulationConfig,
+    ScoringKind,
     elicitation_ranking,
     plan_ranking_proportional,
     plan_uncertainty,
@@ -158,6 +160,15 @@ def loop_fingerprints() -> dict[str, str]:
     }
 
 
+def coverage_loop_fingerprints() -> dict[str, str]:
+    return {
+        f"loop-coverage/{policy}": _timeline_digest(
+            dataclasses.replace(_churn_config(policy), scoring=ScoringKind.COVERAGE)
+        )
+        for policy in ("uniform", "ranking", "uncertainty")
+    }
+
+
 def exact_loop_fingerprints() -> dict[str, str]:
     return {
         f"loop-exact/{policy}": _timeline_digest(_exact_config(policy))
@@ -198,6 +209,12 @@ LOOP_FINGERPRINTS = {
     "loop/uncertainty": "659e452b18636445650a2b06c31900b2fcb25fbb0fee411dee82b84c79cbd996",
 }
 
+COVERAGE_LOOP_FINGERPRINTS = {
+    "loop-coverage/uniform": "bb9f9dc80df596521e5cd804ee0f3133315a04eb37d39a1bdf2be01b5808b1f1",
+    "loop-coverage/ranking": "536d42a2276b44a04cdc00d03e5adaef4f65f4e00db45eac1703acd2976f54a3",
+    "loop-coverage/uncertainty": "37a346d4487aa3862c3dfa40c39bd367063d7c805d20f50158805b374fbcffce",
+}
+
 
 # with budget n * m every cell is known from the first round on, so the
 # three policies give the same timeline
@@ -226,11 +243,16 @@ def test_loop_fingerprints():
     assert loop_fingerprints() == LOOP_FINGERPRINTS
 
 
+def test_coverage_loop_fingerprints():
+    assert coverage_loop_fingerprints() == COVERAGE_LOOP_FINGERPRINTS
+
+
 def test_exact_loop_fingerprints():
     assert exact_loop_fingerprints() == EXACT_LOOP_FINGERPRINTS
 
 
 if __name__ == "__main__":
-    for table in (plan_fingerprints(), loop_fingerprints(), exact_loop_fingerprints()):
+    for table in (plan_fingerprints(), loop_fingerprints(), coverage_loop_fingerprints(),
+                  exact_loop_fingerprints()):
         for key, value in table.items():
             print(f'    "{key}": "{value}",')

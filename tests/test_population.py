@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delib import (
     Attitude,
@@ -256,3 +258,56 @@ def test_support_monotone_in_radius():
         support_small = ground_truth(model_small).support
         support_large = ground_truth(model_large).support
         assert np.all(support_small <= support_large + 1e-12)
+
+
+def reference_ground_truth(model):
+    """The whole matrix rebuilt from every position with one (n, m, d) broadcast."""
+    n, m = model.n_participants, model.n_ideas
+    if n and m:
+        participants = np.array(model.participant_positions)
+        ideas = np.array(model.idea_positions)
+        distances = np.sqrt(((participants[:, None, :] - ideas[None, :, :]) ** 2).sum(axis=2))
+        matrix = (distances < model.config.approval_radius).astype(np.int8)
+    else:
+        matrix = np.zeros((n, m), dtype=np.int8)
+    active = tuple(sorted(model.active))
+    support = matrix[list(active)].mean(axis=0) if active and m else np.full(m, np.nan)
+    return matrix, support, np.array(model.bloc_labels, dtype=int), active
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 10),  # from 8 on, NumPy sums the distance axis pairwise
+    radius=st.floats(0.5, 4.0),
+    n0=st.integers(0, 6),
+    departure_prob=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["participant", "idea", "free-idea", "churn", "truth"]), max_size=30),
+)
+def test_ground_truth_extends_to_the_full_rebuild(dim, radius, n0, departure_prob, seed, steps):
+    mixture = (MixtureComponent(0.5, (-1.0,) + (0.0,) * (dim - 1), 1.0),
+               MixtureComponent(0.5, (1.0,) * dim, 0.5))
+    config = PopulationConfig(n0=n0, approval_radius=radius, latent_dim=dim, mixture=mixture,
+                              departure_prob=departure_prob, arrival_rate=1.0, seed=seed)
+    model = generate_population(config, seed)
+    rng = np.random.default_rng(seed)
+    for round_index, step in enumerate(steps + ["truth"]):
+        if step == "participant":
+            model.spawn_participant(rng)
+        elif step == "idea" and model.n_participants:
+            model.spawn_idea(int(rng.integers(model.n_participants)), rng)
+        elif step == "free-idea":
+            model.spawn_idea(None, rng)
+        elif step == "churn":
+            step_churn(model, round_index, seed)
+        elif step == "truth":
+            truth = ground_truth(model)
+            matrix, support, blocs, active = reference_ground_truth(model)
+            assert truth.matrix.dtype == np.int8
+            assert np.array_equal(truth.matrix, matrix)
+            assert np.array_equal(truth.support, support, equal_nan=True)
+            assert np.array_equal(truth.blocs, blocs)
+            assert truth.active == active
+            # the returned matrix is the caller's: writing into it changes no later result
+            truth.matrix[...] = 7
+            assert np.array_equal(ground_truth(model).matrix, matrix)

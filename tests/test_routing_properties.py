@@ -5,8 +5,11 @@ distinct unknown cells of active participants, in draw order; it fills
 min(budget, open cells) with positive position weights; its shortfall is
 the unfilled budget; and the same seed replays the same plan. The
 planners also draw exactly the plans of the plain per-cell loops kept
-here as references, and the array estimator returns, bit for bit, what
-the scalar estimator kept here computes for each idea.
+here as references; the ranking reference makes every idea draw with
+``rng.choice``, so the planner's cached-CDF draw is checked against it
+draw for draw over random rankings and position weights. And the array
+estimator returns, bit for bit, what the scalar estimator kept here
+computes for each idea.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delib import (
+    Attitude,
     AttitudeMatrix,
     ElicitationWeights,
     QueryPlan,
+    Ranking,
     elicitation_ranking,
     estimate_support,
     plan_ranking_proportional,
@@ -101,10 +106,9 @@ def reference_ranking(matrix, ranking, active, budget, seed, position_weight=lam
         if not open_ideas:
             break
         w = weights[open_ideas]
-        total = w.sum()
-        if total <= 0:
+        if w.sum() <= 0:
             break
-        p = int(rng.choice(open_ideas, p=w / total))
+        p = open_ideas[int(rng.choice(len(open_ideas), p=w / w.sum()))]
         candidates = available[p]
         i = candidates[int(rng.integers(len(candidates)))]
         candidates.remove(i)
@@ -182,6 +186,40 @@ def test_planners_draw_the_reference_plans(inputs, c_explore, prior_mean, prior_
             == reference_ranking(matrix, ranking, active, budget, seed, position_weight=steep))
     assert (plan_uncertainty(matrix, active, budget, weights, seed=seed)
             == reference_uncertainty(matrix, active, budget, weights, seed=seed))
+
+
+@st.composite
+def ranking_inputs(draw):
+    """Planner inputs plus a random ranking and per-rank position weights.
+
+    Zero weights are common, and a quarter of the matrices leave a single
+    idea with unknown cells; with at most 8 participants and budgets up to
+    60, ideas run out in the middle of most plans.
+    """
+    matrix, active, budget, seed = draw(planner_inputs())
+    m = matrix.n_ideas
+    if m and draw(st.integers(0, 3)) == 0:
+        keep = draw(st.integers(0, m - 1))
+        for i in sorted(matrix.active_participants):
+            for p in range(m):
+                if p != keep:
+                    matrix.record_attitude(i, p, Attitude(draw(st.integers(0, 1))))
+    order = draw(st.permutations(range(m)))
+    ranking = Ranking(order=tuple(order), provenance=(0.0,) * m)
+    by_rank = draw(st.lists(st.just(0.0) | st.floats(0.0, 1e300) | st.floats(1e-300, 1e-290),
+                            min_size=m, max_size=m))
+    return matrix, ranking, active, budget, seed, by_rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_inputs())
+def test_ranking_plan_draws_like_choice_draw_for_draw(inputs):
+    matrix, ranking, active, budget, seed, by_rank = inputs
+    weight = lambda r: by_rank[r - 1]
+    plan = plan_ranking_proportional(matrix, ranking, active, budget, seed, position_weight=weight)
+    expected = reference_ranking(matrix, ranking, active, budget, seed, position_weight=weight)
+    assert plan.pairs == expected.pairs
+    assert plan.shortfall == expected.shortfall
 
 
 def _bits(values):
