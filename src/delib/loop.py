@@ -226,22 +226,13 @@ def _derive_seed(*parts: int) -> int:
 # -- the loop itself ------------------------------------------------------------
 
 
-def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str,
-                 harmonic_order: list[int]) -> tuple[tuple[int, ...], float, bool]:
-    """(ideas, score, used_exact) under the configured solver choice.
-
-    ``harmonic_order`` is the full harmonic greedy order of ``approvals``;
-    greedy orders are prefix-consistent, so its first k ideas are the
-    harmonic greedy slate.
-    """
+def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) -> tuple[tuple[int, ...], float, bool]:
+    """(ideas, score, used_exact) under the configured solver choice."""
     m = approvals.shape[1]
     if solver == "exact" or (solver == "auto" and (k >= m or comb(m, k) <= ENUMERATION_CAP)):
         ids, score = exact_order_and_score(approvals, k, kind)
         return ids, score, True
-    if kind is ScoringKind.HARMONIC:
-        order = harmonic_order[:k]
-    else:
-        order, _ = greedy_order(approvals, k, kind)
+    order, _ = greedy_order(approvals, k, kind)
     ids = tuple(sorted(order))
     return ids, score_from_approvals(approvals, ids, kind), False
 
@@ -260,18 +251,19 @@ def plan_for_policy(policy: str, matrix: AttitudeMatrix, budget: int, weights: E
 
 def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationModel,
                   round_index: int, queries_served: int, notes: list[str]) -> RoundMetrics:
-    """Compute one round's metrics from a frozen snapshot. Pure."""
+    """Compute one round's metrics from a frozen snapshot.
+
+    Changes nothing but the model's cached truth matrix, which
+    ``ground_truth`` extends to the model's current size.
+    """
     truth = ground_truth(model)
     active = list(truth.active)
     truth_active = truth.matrix[active].astype(bool)
     approvals_est = snap.approvals()
 
-    est_order, _ = greedy_order(approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
-    oracle_order, _ = greedy_order(truth_active, snap.n_ideas, ScoringKind.HARMONIC)
-
-    est_ids, _, _ = _solve_slate(approvals_est, config.slate_k, config.scoring, config.slate_solver, est_order)
+    est_ids, _, _ = _solve_slate(approvals_est, config.slate_k, config.scoring, config.slate_solver)
     oracle_ids, oracle_score, oracle_exact = _solve_slate(
-        truth_active, config.slate_k, config.scoring, config.slate_solver, oracle_order
+        truth_active, config.slate_k, config.scoring, config.slate_solver
     )
     if not oracle_exact and "oracle-greedy" not in notes:
         notes.append("oracle-greedy")
@@ -280,6 +272,8 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     covered = truth_active[:, sorted(est_ids)].any(axis=1).mean() if est_ids and active else 0.0
     symmetric_difference = len(set(est_ids) ^ set(oracle_ids))
 
+    est_order, _ = greedy_order(approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
+    oracle_order, _ = greedy_order(truth_active, snap.n_ideas, ScoringKind.HARMONIC)
     position_est = np.empty(snap.n_ideas)
     position_oracle = np.empty(snap.n_ideas)
     position_est[est_order] = np.arange(snap.n_ideas)

@@ -213,7 +213,13 @@ class PopulationConfig:
 
 @dataclass
 class PopulationModel:
-    """Mutable latent state of one synthetic deliberation population."""
+    """Mutable latent state of one synthetic deliberation population.
+
+    Positions are append-only: ``ground_truth`` caches the truth matrix it
+    computes and, on later calls, extends it for the rows and columns
+    added since. Once it has been called, do not change ``config`` or an
+    existing position in place, or the cache goes stale.
+    """
 
     config: PopulationConfig
     seed: int
