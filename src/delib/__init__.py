@@ -12,7 +12,6 @@ that scores all of it against ground truth.
 from .errors import (
     CapacityError,
     DelibError,
-    EmptyRankingError,
     FormatError,
     FrozenMatrixError,
     IdentityError,
@@ -91,7 +90,6 @@ __all__ = [
     "DelibError",
     "ElicitationWeights",
     "Embedding",
-    "EmptyRankingError",
     "ENUMERATION_CAP",
     "FairnessAudit",
     "FormatError",

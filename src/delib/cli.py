@@ -114,7 +114,7 @@ def _cmd_route(args) -> None:
     if args.format == "csv":
         _emit(dataio.csv_text(*dataio.csv_table(plan)), args.out)
         return
-    _emit(dataio.json_text([[int(i), int(p)] for i, p in plan.pairs]), args.out)
+    _emit(dataio.json_text(dataio.plan_to_dict(plan)), args.out)
 
 
 def _cmd_simulate(args) -> None:

@@ -17,10 +17,6 @@ class UndefinedRateError(ParameterError):
     """A completion rate was requested over an empty matrix."""
 
 
-class EmptyRankingError(ParameterError):
-    """A ranking was requested while no ideas exist."""
-
-
 class CapacityError(DelibError):
     """An exact computation would exceed its enumeration cap."""
 

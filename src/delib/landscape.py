@@ -193,13 +193,14 @@ def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     return points[chosen].copy()
 
 
-def kmeans(data, k: int, seed: int, max_iterations: int = KMEANS_MAX_ITERATIONS) -> Clustering:
+def kmeans(data, k: int, seed: int) -> Clustering:
     """Seeded k-means++ followed by Lloyd iterations to a fixpoint.
 
-    Deterministic for a given (data, k, seed). Empty clusters are repaired
-    by moving in the point currently farthest from its own centroid, which
-    keeps the objective non-increasing. The recorded history holds the
-    objective after every Lloyd iteration.
+    At most ``KMEANS_MAX_ITERATIONS`` Lloyd iterations run. Deterministic
+    for a given (data, k, seed). Empty clusters are repaired by moving in
+    the point currently farthest from its own centroid, which keeps the
+    objective non-increasing. The recorded history holds the objective
+    after every Lloyd iteration.
     """
     points = _as_points(data)
     n = points.shape[0]
@@ -212,7 +213,7 @@ def kmeans(data, k: int, seed: int, max_iterations: int = KMEANS_MAX_ITERATIONS)
     assignment = np.full(n, -1, dtype=int)
     history: list[float] = []
 
-    for _ in range(max_iterations):
+    for _ in range(KMEANS_MAX_ITERATIONS):
         distances = _squared_distances(points, centroids)
         new_assignment = distances.argmin(axis=1)
 
@@ -293,16 +294,16 @@ def fairness_audit(clustering: Clustering, data) -> FairnessAudit:
 # -- pipeline -------------------------------------------------------------------
 
 
-def build_landscape(matrix: AttitudeMatrix, k: int, seed: int, space: str = "embedded", d: int = 2) -> Landscape:
+def build_landscape(matrix: AttitudeMatrix, k: int, seed: int, space: str = "embedded") -> Landscape:
     """Run impute -> embed -> cluster -> audit on one matrix snapshot.
 
-    ``space`` picks where clustering happens: the d-dimensional embedding
+    ``space`` picks where clustering happens: the 2-D embedding
     (the display pipeline) or the full imputed attitude space.
     """
     if space not in CLUSTER_SPACES:
         raise ParameterError(f"unknown clustering space {space!r}")
     complete = impute_mean(matrix)
-    embedding = pca_2d(complete, d=d)
+    embedding = pca_2d(complete)
     cluster_points = embedding.points if space == "embedded" else complete.values
     clustering = kmeans(cluster_points, k, seed)
     audit = fairness_audit(clustering, cluster_points)

@@ -130,10 +130,6 @@ class MixtureComponent:
     mean: tuple[float, ...]
     cov: float | tuple[tuple[float, ...], ...] = 1.0
 
-    @classmethod
-    def from_dict(cls, raw: dict, where: str) -> "MixtureComponent":
-        return parse_config(cls, raw, where)
-
 
 def _check_cov(cov, dim: int) -> None:
     if isinstance(cov, (int, float)):
@@ -206,9 +202,6 @@ class PopulationConfig:
         ``population.mixture[0].mean``.
         """
         return parse_config(cls, raw, "population.")
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
 
 
 @dataclass
@@ -302,13 +295,15 @@ def sample_attitude(model: PopulationModel, i: int, p: int, round_seed: int) -> 
     Approve iff distance(i, p) + eps < approval_radius with
     eps ~ Normal(0, noise_sigma^2). Never returns unknown: abstention is a
     routing concern, not a response one. Deterministic per
-    (model seed, round_seed, i, p).
+    (model seed, round_seed, i, p). The distance is the square root of the
+    summed squares, as in :func:`sample_attitudes` and :func:`ground_truth`,
+    so at noise_sigma = 0 all three agree bit for bit.
     """
     if not 0 <= i < model.n_participants:
         raise IdentityError(f"unknown participant {i}")
     if not 0 <= p < model.n_ideas:
         raise IdentityError(f"unknown idea {p}")
-    distance = float(np.linalg.norm(model.participant_positions[i] - model.idea_positions[p]))
+    distance = float(np.sqrt(((model.participant_positions[i] - model.idea_positions[p]) ** 2).sum()))
     eps = 0.0
     if model.config.noise_sigma > 0:
         rng = _rng(model.seed, _TAG_RESPONSE, round_seed, i, p)

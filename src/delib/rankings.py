@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRankingError
 from .matrix import AttitudeMatrix, IdeaId
 from .routing import ElicitationWeights, estimate_all_supports
 from .slates import ScoringKind, greedy_order
@@ -32,14 +31,12 @@ class Ranking:
     order: tuple[IdeaId, ...]
     provenance: tuple[float, ...]
 
-    def position_of(self, p: IdeaId) -> int:
-        return self.order.index(p)
-
 
 def proportional_ranking(matrix: AttitudeMatrix) -> Ranking:
-    """Rank all ideas by sequential harmonic greedy, lowest id on ties."""
-    if matrix.n_ideas == 0:
-        raise EmptyRankingError("cannot rank an empty idea set")
+    """Rank all ideas by sequential harmonic greedy, lowest id on ties.
+
+    With no ideas the ranking is empty.
+    """
     order, gains = greedy_order(matrix.approvals(), matrix.n_ideas, ScoringKind.HARMONIC)
     return Ranking(order=tuple(order), provenance=tuple(gains))
 

@@ -60,11 +60,12 @@ class QueryPlan:
     shortfall: int = 0
 
 
-def wilson_interval(approvals, responses, z: float = _WILSON_Z):
+def wilson_interval(approvals, responses):
     """95% score interval for a binomial proportion; [0, 1] with no data.
 
     Int counts give two floats, arrays of counts two arrays.
     """
+    z = _WILSON_Z
     approvals = np.asarray(approvals, dtype=float)
     responses = np.asarray(responses, dtype=float)
     n = np.maximum(responses, 1.0)  # stands in for 0, whose interval is fixed below
@@ -140,17 +141,14 @@ def plan_uniform(matrix: AttitudeMatrix, active, budget: int, seed: int) -> Quer
     return QueryPlan(pairs=pairs, policy_name="uniform", seed=seed, shortfall=budget - take)
 
 
-def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: int, seed: int,
-                              position_weight=None) -> QueryPlan:
-    """Sample ideas with probability proportional to a position weight.
+def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: int, seed: int) -> QueryPlan:
+    """Sample ideas with probability proportional to their 1/rank weight.
 
-    The idea at 1-based rank r is drawn with weight 1/r by default; the
-    participant is drawn uniformly among active ones whose cell is still
-    unknown. Ideas with no unknown cells left are resampled away (their
-    weight is renormalized out). When no unknown pair remains, or every
-    open idea has weight zero, the plan is returned short, with the
-    shortfall recorded. A weight that is not finite, or weights whose sum
-    is not finite, raise :class:`ParameterError`.
+    The idea at 1-based rank r is drawn with weight 1/r; the participant
+    is drawn uniformly among active ones whose cell is still unknown.
+    Ideas with no unknown cells left are resampled away (their weight is
+    renormalized out). When no unknown pair remains, the plan is returned
+    short, with the shortfall recorded.
 
     Each query makes one idea draw over the open ideas in ascending id
     order and one participant draw over that idea's unknown cells in
@@ -166,18 +164,9 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     order = list(ranking.order)
     if sorted(order) != list(range(matrix.n_ideas)):
         raise ParameterError("ranking does not cover the current idea set")
-    if position_weight is None:
-        position_weight = lambda r: 1.0 / r
     available = _unknown_by_idea(matrix, _active_set(matrix, active))
     weights = np.zeros(matrix.n_ideas)
-    for rank, p in enumerate(order, start=1):
-        weights[p] = position_weight(rank)
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(weights).all() and np.isfinite(weights.sum())
-    if not finite:
-        raise ParameterError("position weights and their sum must be finite")
-    if np.any(weights < 0):
-        raise ParameterError("position weights must be non-negative")
+    weights[order] = 1.0 / np.arange(1, matrix.n_ideas + 1)
 
     open_ideas = np.flatnonzero([bool(candidates) for candidates in available])
     open_weights = weights[open_ideas]
@@ -187,8 +176,6 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
     while len(pairs) < budget and open_ideas.size:
         if cdf is None:
             total = open_weights.sum()
-            if total <= 0:
-                break
             # the steps of rng.choice(len(open_ideas), p=open_weights / total):
             # the same CDF searched with the same one rng.random(), so the
             # same draw without choice's per-call checks

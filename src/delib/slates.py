@@ -178,16 +178,16 @@ def greedy_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind, *, lazy: boo
 # -- exact solver ----------------------------------------------------------
 
 
-def exact_order_and_score(approvals: np.ndarray, k: int, kind: ScoringKind, cap: int = ENUMERATION_CAP) -> tuple[tuple[int, ...], float]:
+def exact_order_and_score(approvals: np.ndarray, k: int, kind: ScoringKind) -> tuple[tuple[int, ...], float]:
     """Enumerate all size-k subsets; first lexicographic maximum wins."""
     n, m = approvals.shape
     if k >= m:
         ids = tuple(range(m))
         return ids, score_from_approvals(approvals, ids, kind)
     n_subsets = comb(m, k)
-    if n_subsets > cap:
+    if n_subsets > ENUMERATION_CAP:
         raise CapacityError(
-            f"choose({m}, {k}) = {n_subsets} subsets exceeds the enumeration cap of {cap}"
+            f"choose({m}, {k}) = {n_subsets} subsets exceeds the enumeration cap of {ENUMERATION_CAP}"
         )
     table = harmonic_table(k)
     best_score = -np.inf
@@ -210,22 +210,22 @@ def exact_order_and_score(approvals: np.ndarray, k: int, kind: ScoringKind, cap:
     return best, best_score
 
 
-def exact_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind, cap: int = ENUMERATION_CAP) -> Slate:
+def exact_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind) -> Slate:
     """Exhaustive optimum over all size-k subsets of ideas.
 
-    Refuses instances whose subset count exceeds ``cap``. Ties are broken
-    lexicographically on the sorted idea ids.
+    Refuses instances whose subset count exceeds ``ENUMERATION_CAP``.
+    Ties are broken lexicographically on the sorted idea ids.
     """
     if k < 1:
         raise ParameterError("slate size k must be at least 1")
-    ids, score = exact_order_and_score(matrix.approvals(), k, kind, cap)
+    ids, score = exact_order_and_score(matrix.approvals(), k, kind)
     return Slate(ideas=frozenset(ids), target_k=k, score=score, kind=kind)
 
 
 # -- proportionality audit ---------------------------------------------------
 
 
-def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1, cap: int = ENUMERATION_CAP) -> list[JrViolation]:
+def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1) -> list[JrViolation]:
     """Report cohesive groups the slate leaves unrepresented.
 
     At ``level`` 1 this is the justified-representation check: every group
@@ -233,8 +233,9 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1, cap: int = EN
     some member with an approved idea in the slate. Higher levels demand,
     for groups of at least level * n/k participants commonly approving
     ``level`` ideas, that some member has ``level`` approved ideas in the
-    slate; they cost a combination enumeration and are intended for desk
-    scale only.
+    slate. Every level enumerates the size-``level`` idea sets; above level
+    1 their count may not exceed ``ENUMERATION_CAP``, and they are intended
+    for desk scale only.
     """
     if slate.target_k < 1:
         raise ParameterError("slate target_k must be at least 1")
@@ -249,21 +250,15 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1, cap: int = EN
     threshold = level * n / slate.target_k
     deprived = satisfaction < level
 
+    if level > 1 and comb(m, level) > ENUMERATION_CAP:
+        raise CapacityError(
+            f"choose({m}, {level}) witness sets exceed the enumeration cap of {ENUMERATION_CAP}"
+        )
     groups: dict[frozenset[int], None] = {}
-    if level == 1:
-        for p in range(m):
-            members = np.flatnonzero(deprived & approvals[:, p])
-            if members.size and members.size >= threshold:
-                groups.setdefault(frozenset(int(i) for i in members))
-    else:
-        if comb(m, level) > cap:
-            raise CapacityError(
-                f"choose({m}, {level}) witness sets exceed the enumeration cap of {cap}"
-            )
-        for subset in itertools.combinations(range(m), level):
-            members = np.flatnonzero(deprived & approvals[:, subset].all(axis=1))
-            if members.size and members.size >= threshold:
-                groups.setdefault(frozenset(int(i) for i in members))
+    for subset in itertools.combinations(range(m), level):
+        members = np.flatnonzero(deprived & approvals[:, subset].all(axis=1))
+        if members.size and members.size >= threshold:
+            groups.setdefault(frozenset(int(i) for i in members))
 
     violations = []
     for group in groups:

@@ -67,11 +67,12 @@ def test_route_deterministic_per_seed(matrix_csv):
     b = run_cli("route", "--policy", "uniform", "--budget", "3", "--seed", "42", "--input", matrix_csv)
     assert a.returncode == 0
     assert a.stdout == b.stdout
-    pairs = json.loads(a.stdout)
-    assert len(pairs) == 3
-    assert all(len(pair) == 2 for pair in pairs)
+    plan = json.loads(a.stdout)
+    assert (plan["policy"], plan["seed"], plan["shortfall"]) == ("uniform", 42, 0)
+    assert len(plan["pairs"]) == 3
+    assert all(len(pair) == 2 for pair in plan["pairs"])
     c = run_cli("route", "--policy", "uncertainty", "--budget", "2", "--seed", "1", "--input", matrix_csv)
-    assert len(json.loads(c.stdout)) == 2
+    assert len(json.loads(c.stdout)["pairs"]) == 2
 
 
 def test_route_requires_seed(matrix_csv):

@@ -125,11 +125,11 @@ CLI_FINGERPRINTS = {
     "rank/elicitation/csv": "371af0f0d525778c8b660eb63c3ed9412c0d7d6e97d55b5b5421633fcab33535",
     "rank/elicitation-weights/json": "d4a2ff0626f16b490a45eb3afb102c264cf6d952ecc0cf1a3ba7e963e378107e",
     "rank/elicitation-weights/csv": "7661eb9afc37005a6435e642dd76ef7503e88962892356db4a7d50a7280c6909",
-    "route/uniform/json": "02c18e879a2b86f9ef3a9856a7c1049e1eeb7d087e935c479446bef83a046081",
+    "route/uniform/json": "5b3022152fbfc941ca7523eeb33367f1cb82922f38d073855b10007f15511a12",
     "route/uniform/csv": "f171265083b70dfb87d752e1c0761bbcdf93559dee8c60ba25369ff1ffb5ec1e",
-    "route/ranking/json": "58bd925efffb85190d7c168b498f119146a591461af938481b2b42cd55093cb7",
+    "route/ranking/json": "b00f6960859732e969c7def4d212c6f7f945571d75964cf5223964e888d52e02",
     "route/ranking/csv": "1b2a83c7107615cec22726383f02b19592fabe379a47b91c2c3abb5204b5b1ad",
-    "route/uncertainty/json": "bbf57d12ffd6e8bf9b8ff518aa6566c4de4dff21bc82d1dbd72aa47641f3a63c",
+    "route/uncertainty/json": "a0c3a3dff251203dbae63eb4ddc8dc5835ff317989b9cdbe3ef70818e3ad576b",
     "route/uncertainty/csv": "0c0ae73b41368414b6d55f80936d12dd1647a82fc087af0fdefe8a2227c4607d",
     "landscape/embedded-k2/embedding.csv": "d588bc1ba55f9b0915a8f2d454a75cc90d3431bc422d82eeba4887071aaa47dd",
     "landscape/embedded-k2/components.csv": "44233175204dfaaea2593f0ffefe6d0da29b34c65f126b26f44d1371b2ffa843",

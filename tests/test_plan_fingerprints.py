@@ -93,11 +93,6 @@ def _plans(matrix, active, budget, planner):
         elif planner == "ranking":
             ranking = elicitation_ranking(matrix)
             yield plan_ranking_proportional(matrix, ranking, active, budget, seed)
-            # a weight profile that zeroes the tail: the plan stops short
-            # once the two top-ranked ideas run out of unknown cells
-            yield plan_ranking_proportional(
-                matrix, ranking, active, budget, seed, position_weight=lambda r: 1.0 if r <= 2 else 0.0
-            )
         else:
             yield plan_uncertainty(matrix, active, budget, seed=seed)
             yield plan_uncertainty(matrix, active, budget, ElicitationWeights(prior_weight=0.0), seed=seed)
@@ -178,28 +173,28 @@ def exact_loop_fingerprints() -> dict[str, str]:
 
 PLAN_FINGERPRINTS = {
     "churned/uniform": "9147934602c015f915ad435f3c2b2c846e546d86cbecb3cb44290fbed551e735",
-    "churned/ranking": "5bcc422524c4b980ae739a40c4caba53a790016531a77e404d037448331bf82e",
+    "churned/ranking": "a4c3ce1bce2e9d42227cde637e6c5eabfd5388957a80102b3ff6cd7c898cb89d",
     "churned/uncertainty": "270a34e602e34608474c4d7cf470cbacc88d4baba39b49026fdda04c45d24bf2",
     "explicit-active/uniform": "f9e35e605c51e3885ba3aca228fdc3c84dd3678ed2db297607c4020e74af0e0b",
-    "explicit-active/ranking": "51986a6ea18ff272e634a124d438f046e342d30b7c95208884174fcb2ec9fb01",
+    "explicit-active/ranking": "ff82c4c2cfdc40d9e442fb02d741efbbfc50bc631994de6b471172c5bd40d2cb",
     "explicit-active/uncertainty": "624d07c54094c264bcf9456137630477716e4afa486b823860f84df2aaeee53e",
     "over-budget/uniform": "2fcd4d596b9ad10940bbde699ce682b0d3bcbd23e8da903ded8fa3a19135a5c4",
-    "over-budget/ranking": "4ed587a65e2e681c32d5677759f734ab117c31e56a37b04f268d84f69a0a4360",
+    "over-budget/ranking": "34858273d4a38e71e414880a69af46be25423b7e9295f59bf5fb3360b3708a1b",
     "over-budget/uncertainty": "0a59a20fc75f78112f99ec77bdea558aa22cd95034f85318ca3a5f548670161e",
     "fully-known-idea/uniform": "8936774d552bc98e6dbab8cea2dc532b600840859df1edcca9283c4a64638ed7",
-    "fully-known-idea/ranking": "b8110381792402225fa4487aa06d5c75de07370bb4b554340628d88e114aade2",
+    "fully-known-idea/ranking": "8728657795d693108cf72f6a0481622cad7a699f8b72fb2688ae49e80922ba7e",
     "fully-known-idea/uncertainty": "5003ad1acf246d3979c0b13434bb852135089fd5d78309fea176f772e78b3069",
     "dense-unknown/uniform": "52c192dc09205535abeac38ae918f3d37b9e5e85d1e5b13ee752ebb5f60e9b09",
-    "dense-unknown/ranking": "93c86a39218be396c33aeb9157532be1e710032f7001db156e5b4e2613156d14",
+    "dense-unknown/ranking": "9091817f78d89e03da53ceeb447662de05f031abe26caedaa5d6a7c67c7113e1",
     "dense-unknown/uncertainty": "677420b07ad76378e08195d035de1692c8967c49c64fdc7eed9e1047d5c757d5",
     "all-known/uniform": "944d68a4d23286fcac8e3b3858ecabb0164c69c1d899cb0fefabac83493be137",
-    "all-known/ranking": "4bfba487b3b39ef8a2cb78c7c4db77613c73d1d67f33ef17adf80b55eb00cedf",
+    "all-known/ranking": "41ddff6c88498c85e3a5b321a0edd00b44a337a4614d80277e27edb50aeb632d",
     "all-known/uncertainty": "373b211a59fc70e3970c5d9083db40cd7326ef4f81844270afbd4aef59e1a445",
     "no-ideas/uniform": "dd4bce865bf52b346ceadca13ed72ad62cde608317c049bafd75375459d66916",
-    "no-ideas/ranking": "42154a4d972307a6ab7a212274ba79811653f83cf7c733b7ccd7afd7aebaa1c9",
+    "no-ideas/ranking": "0c9867b40a53ccd6d09426c1f21e1281f2c40426dc937ff8689d91894074d70e",
     "no-ideas/uncertainty": "a29df60f77dbeb2556811fcc8f7ff9f8a18099d4490b1ad60124b1078f70f28e",
     "no-participants/uniform": "dd4bce865bf52b346ceadca13ed72ad62cde608317c049bafd75375459d66916",
-    "no-participants/ranking": "42154a4d972307a6ab7a212274ba79811653f83cf7c733b7ccd7afd7aebaa1c9",
+    "no-participants/ranking": "0c9867b40a53ccd6d09426c1f21e1281f2c40426dc937ff8689d91894074d70e",
     "no-participants/uncertainty": "a29df60f77dbeb2556811fcc8f7ff9f8a18099d4490b1ad60124b1078f70f28e",
 }
 

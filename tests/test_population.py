@@ -239,6 +239,48 @@ def test_noise_free_sampling_equals_ground_truth():
     assert [a is Attitude.APPROVE for a in batch] == flat
 
 
+def _two_point_model(participant, idea, radius):
+    """One active participant and one idea at the given positions, no noise."""
+    dim = len(participant)
+    config = PopulationConfig(n0=0, approval_radius=radius, latent_dim=dim,
+                              mixture=(MixtureComponent(1.0, (0.0,) * dim),))
+    model = generate_population(config, 0)
+    model.participant_positions.append(np.asarray(participant, dtype=float))
+    model.bloc_labels.append(0)
+    model.active.add(0)
+    model.idea_positions.append(np.asarray(idea, dtype=float))
+    model.idea_authors.append(None)
+    return model
+
+
+def _three_verdicts(model):
+    single = sample_attitude(model, 0, 0, round_seed=1)
+    (batch,) = sample_attitudes(model, [(0, 0)], round_seed=1)
+    truth = Attitude.APPROVE if ground_truth(model).matrix[0, 0] else Attitude.DISAPPROVE
+    return single, batch, truth
+
+
+def test_noise_free_sample_attitude_agrees_on_the_boundary():
+    # np.linalg.norm of this offset is one ulp below sqrt of its summed
+    # squares, which is exactly the radius: the batch and the truth
+    # disapprove, and so must the single draw
+    model = _two_point_model([0.4116305363741328, 1.0425133694426776], [0.0, 0.0], 1.1208362163770322)
+    assert _three_verdicts(model) == (Attitude.DISAPPROVE,) * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 10), data=st.data())
+def test_noise_free_single_batch_and_truth_agree(dim, data):
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    participant, idea = np.array(data.draw(coords)), np.array(data.draw(coords))
+    distance = float(np.sqrt(((participant - idea) ** 2).sum()))
+    # the radius sits on the distance or one ulp above it, where rounding decides
+    radius = data.draw(st.sampled_from([distance, float(np.nextafter(distance, np.inf))]))
+    if radius > 0:
+        single, batch, truth = _three_verdicts(_two_point_model(participant, idea, radius))
+        assert single is batch is truth
+
+
 def test_support_monotone_in_radius():
     for seed in range(5):
         small = PopulationConfig(

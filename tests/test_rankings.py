@@ -4,7 +4,7 @@ import pytest
 from delib import (
     AttitudeMatrix,
     ElicitationWeights,
-    EmptyRankingError,
+    Ranking,
     ScoringKind,
     elicitation_ranking,
     greedy_slate,
@@ -54,8 +54,8 @@ def test_single_idea_ranking():
 def test_empty_idea_set_rejected():
     m = AttitudeMatrix()
     m.add_participant()
-    with pytest.raises(EmptyRankingError):
-        proportional_ranking(m)
+    assert proportional_ranking(m) == Ranking(order=(), provenance=())
+    assert proportional_ranking(m) == elicitation_ranking(m)
 
 
 def test_prefix_consistency_with_greedy_slates():

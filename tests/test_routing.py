@@ -6,7 +6,6 @@ from delib import (
     AttitudeMatrix,
     ElicitationWeights,
     MixtureComponent,
-    ParameterError,
     PopulationConfig,
     elicitation_ranking,
     estimate_support,
@@ -172,26 +171,6 @@ def test_ranking_plan_rejects_exhausted_ideas():
         m.record_attitude(i, top, A)
     plan = plan_ranking_proportional(m, ranking, m.active_participants, 2, seed=3)
     assert all(p == other for _, p in plan.pairs)
-
-
-@pytest.mark.parametrize("weight", [
-    lambda r: float("nan") if r == 2 else 1.0,
-    lambda r: float("inf") if r == 1 else 1.0,
-    lambda r: 1e308,  # every weight finite, their sum not
-])
-def test_ranking_plan_rejects_non_finite_weights(weight):
-    m = tiny_matrix()
-    with pytest.raises(ParameterError, match="finite"):
-        plan_ranking_proportional(m, proportional_ranking(m), m.active_participants, 3, seed=0,
-                                  position_weight=weight)
-
-
-def test_ranking_plan_with_all_zero_weights_is_empty_and_short():
-    m = tiny_matrix()
-    plan = plan_ranking_proportional(m, proportional_ranking(m), m.active_participants, 3, seed=0,
-                                     position_weight=lambda r: 0.0)
-    assert plan.pairs == ()
-    assert plan.shortfall == 3
 
 
 # -- uncertainty plans ------------------------------------------------------------------

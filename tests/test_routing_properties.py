@@ -94,11 +94,11 @@ def reference_uniform(matrix, active, budget, seed):
     return QueryPlan(tuple(pool[j] for j in order[:take]), "uniform", seed, budget - take)
 
 
-def reference_ranking(matrix, ranking, active, budget, seed, position_weight=lambda r: 1.0 / r):
+def reference_ranking(matrix, ranking, active, budget, seed):
     available = _unknown_lists(matrix, _usable(matrix, active))
     weights = np.zeros(matrix.n_ideas)
     for rank, p in enumerate(ranking.order, start=1):
-        weights[p] = position_weight(rank)
+        weights[p] = 1.0 / rank
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(budget):
@@ -107,8 +107,6 @@ def reference_ranking(matrix, ranking, active, budget, seed, position_weight=lam
             break
         w = weights[open_ideas]
         total = w.sum()
-        if total <= 0:
-            break
         p = int(rng.choice(open_ideas, p=w / total))
         candidates = available[p]
         i = candidates[int(rng.integers(len(candidates)))]
@@ -172,27 +170,16 @@ def test_plans_respect_the_routing_invariants(inputs, planner):
     assert _plan(planner, matrix, active, budget, seed) == plan
 
 
-# per-rank position weights: zeros, and values near both ends of the float range
-rank_weights = st.lists(st.just(0.0) | st.floats(0.0, 1e300) | st.floats(1e-300, 1e-290),
-                        min_size=6, max_size=6)
-
-
 @settings(max_examples=300, deadline=None)
-@given(planner_inputs(), st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 4.0), rank_weights)
-def test_planners_draw_the_reference_plans(inputs, c_explore, prior_mean, prior_weight, by_rank):
+@given(planner_inputs(), st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 4.0))
+def test_planners_draw_the_reference_plans(inputs, c_explore, prior_mean, prior_weight):
     matrix, active, budget, seed = inputs
     weights = ElicitationWeights(c_explore=c_explore, prior_mean=prior_mean, prior_weight=prior_weight)
     ranking = elicitation_ranking(matrix, weights)
-    steep = lambda r: 1.0 / r**2 if r <= 3 else 0.0
-    drawn = lambda r: by_rank[r - 1]
 
     assert plan_uniform(matrix, active, budget, seed) == reference_uniform(matrix, active, budget, seed)
     assert (plan_ranking_proportional(matrix, ranking, active, budget, seed)
             == reference_ranking(matrix, ranking, active, budget, seed))
-    assert (plan_ranking_proportional(matrix, ranking, active, budget, seed, position_weight=steep)
-            == reference_ranking(matrix, ranking, active, budget, seed, position_weight=steep))
-    assert (plan_ranking_proportional(matrix, ranking, active, budget, seed, position_weight=drawn)
-            == reference_ranking(matrix, ranking, active, budget, seed, position_weight=drawn))
     assert (plan_uncertainty(matrix, active, budget, weights, seed=seed)
             == reference_uncertainty(matrix, active, budget, weights, seed=seed))
 

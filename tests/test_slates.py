@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delib import (
     AttitudeMatrix,
     CapacityError,
     IdentityError,
+    JrViolation,
     ParameterError,
     ScoringKind,
     Slate,
@@ -293,6 +296,58 @@ def test_jr_stricter_level_enumerates_pairs():
     stricter = jr_audit(m, slate, level=2)
     assert len(stricter) == 1
     assert stricter[0].group == frozenset({0, 1, 2, 3})
+
+
+def reference_jr_audit(matrix, slate, level):
+    """jr_audit with its former two group loops: single ideas at level 1,
+    idea combinations above it."""
+    approvals = matrix.approvals()
+    n, m = approvals.shape
+    if n == 0 or m == 0:
+        return []
+    slate_ids = sorted(slate.ideas)
+    satisfaction = approvals[:, slate_ids].sum(axis=1) if slate_ids else np.zeros(n, dtype=int)
+    threshold = level * n / slate.target_k
+    deprived = satisfaction < level
+    groups = {}
+    if level == 1:
+        for p in range(m):
+            members = np.flatnonzero(deprived & approvals[:, p])
+            if members.size and members.size >= threshold:
+                groups.setdefault(frozenset(int(i) for i in members))
+    else:
+        for subset in itertools.combinations(range(m), level):
+            members = np.flatnonzero(deprived & approvals[:, subset].all(axis=1))
+            if members.size and members.size >= threshold:
+                groups.setdefault(frozenset(int(i) for i in members))
+    violations = [
+        JrViolation(group, frozenset(int(p) for p in np.flatnonzero(approvals[sorted(group)].all(axis=0))),
+                    len(group) / n)
+        for group in groups
+    ]
+    violations.sort(key=lambda v: (-len(v.group), sorted(v.group)))
+    return violations
+
+
+@st.composite
+def audit_inputs(draw):
+    """A random ternary matrix with some departed rows, and a slate that
+    may be empty and whose target_k may exceed the number of ideas."""
+    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    cells = st.lists(st.lists(st.sampled_from([None, 0, 1, 1]), min_size=m, max_size=m), min_size=n, max_size=n)
+    matrix = AttitudeMatrix.from_dense(draw(cells), texts=[f"idea {p}" for p in range(m)])
+    for i in draw(st.sets(st.integers(0, n - 1))) if n else ():
+        matrix.depart(i)
+    ideas = draw(st.sets(st.integers(0, m - 1), max_size=m)) if m else set()
+    slate = Slate(ideas=frozenset(ideas), target_k=draw(st.integers(1, m + 3)), score=0.0, kind=H)
+    return matrix, slate
+
+
+@settings(max_examples=300, deadline=None)
+@given(audit_inputs(), st.sampled_from([1, 2]))
+def test_jr_audit_equals_the_per_level_loops(inputs, level):
+    matrix, slate = inputs
+    assert jr_audit(matrix, slate, level=level) == reference_jr_audit(matrix, slate, level)
 
 
 # -- imputation pre-pass -----------------------------------------------------------
