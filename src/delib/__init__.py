@@ -42,7 +42,7 @@ from .loop import (
     run_loop,
     sign_test_pvalue,
 )
-from .matrix import ApprovalSet, Attitude, AttitudeMatrix, Idea, IdeaId, ParticipantId
+from .matrix import Attitude, AttitudeMatrix, Idea, IdeaId, ParticipantId
 from .population import (
     GroundTruth,
     MixtureComponent,
@@ -50,7 +50,6 @@ from .population import (
     PopulationModel,
     generate_population,
     ground_truth,
-    sample_attitude,
     sample_attitudes,
     step_churn,
 )
@@ -80,7 +79,6 @@ from .slates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApprovalSet",
     "Attitude",
     "AttitudeMatrix",
     "BlockingCoalition",
@@ -136,7 +134,6 @@ __all__ = [
     "plan_uniform",
     "proportional_ranking",
     "run_loop",
-    "sample_attitude",
     "sample_attitudes",
     "sign_test_pvalue",
     "slate_score",

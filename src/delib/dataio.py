@@ -463,7 +463,9 @@ def export_results(value, path, format: str = "json") -> None:
 
 def _json_payload(value):
     if isinstance(value, AttitudeMatrix):
-        cells = [[i, p, attitude.value] for (i, p), attitude in value.known_items().items()]
+        codes = value.codes()
+        rows, cols = np.nonzero(codes >= 0)  # row-major order
+        cells = np.column_stack([rows, cols, codes[rows, cols]]).tolist()
         return {"participants": value.n_participants, "ideas": [idea.text for idea in value.ideas], "cells": cells}
     if isinstance(value, Slate):
         return slate_to_dict(value)

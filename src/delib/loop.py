@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterError
-from .landscape import CLUSTER_SPACES, build_landscape
+from .landscape import CLUSTER_SPACES, impute_mean, kmeans, pca_2d
 from .matrix import AttitudeMatrix
 from .population import (
     PopulationConfig,
@@ -53,6 +53,8 @@ from .slates import (
 _TAG_AUTHORS = 11
 _TAG_PLAN = 22
 _TAG_LANDSCAPE = 33
+
+_LABEL_CAP = 10  # match_accuracy enumerates label permutations up to this many clusters
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class LoopConfig:
             raise ParameterError("idea counts must be non-negative")
         if self.slate_k < 1 or self.landscape_k < 1:
             raise ParameterError("slate_k and landscape_k must be positive")
+        if max(self.landscape_k, len(self.population.mixture)) > _LABEL_CAP:  # cluster_recovery matches them
+            raise ParameterError(f"landscape_k and the number of mixture components may not exceed {_LABEL_CAP}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LoopConfig":
@@ -188,16 +192,21 @@ def match_accuracy(predicted, truth) -> float:
     """Best label-permutation agreement between two clusterings.
 
     Enumerates assignments of predicted labels onto true labels over the
-    confusion matrix; intended for small label counts (at most 10).
+    confusion matrix. Both label sequences must have the same length, and
+    labels must lie in [0, 10).
     """
     predicted = np.asarray(predicted, dtype=int)
     truth = np.asarray(truth, dtype=int)
+    if predicted.shape != truth.shape:
+        raise ParameterError(f"label sequences differ in shape: {predicted.shape} and {truth.shape}")
     if predicted.size == 0:
         return 1.0
+    if min(predicted.min(), truth.min()) < 0:
+        raise ParameterError("labels must be non-negative")
     k_pred = int(predicted.max()) + 1
     k_true = int(truth.max()) + 1
-    if max(k_pred, k_true) > 10:
-        raise ParameterError("label matching is enumerated and capped at 10 clusters")
+    if max(k_pred, k_true) > _LABEL_CAP:
+        raise ParameterError(f"label matching is enumerated and capped at {_LABEL_CAP} clusters")
     confusion = np.zeros((k_pred, k_true), dtype=int)
     for a, b in zip(predicted, truth):
         confusion[a, b] += 1
@@ -286,11 +295,11 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     # the landscape needs a 2-d embedding: at least two participants and
     # two ideas, and no more clusters than participants
     if snap.n_participants >= 2 and snap.n_ideas >= 2 and config.landscape_k <= snap.n_participants:
-        scape = build_landscape(
-            snap, config.landscape_k, _derive_seed(config.seed, _TAG_LANDSCAPE, round_index),
-            space=config.landscape_space,
-        )
-        recovery = match_accuracy(scape.clustering.assignment, truth.blocs[: snap.n_participants])
+        # build_landscape's clustering, without its fairness audit (and its PCA in the full space)
+        complete = impute_mean(snap)
+        points = pca_2d(complete).points if config.landscape_space == "embedded" else complete.values
+        clustering = kmeans(points, config.landscape_k, _derive_seed(config.seed, _TAG_LANDSCAPE, round_index))
+        recovery = match_accuracy(clustering.assignment, truth.blocs[: snap.n_participants])
     else:
         recovery = float("nan")
 

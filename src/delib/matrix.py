@@ -32,18 +32,12 @@ class Attitude(Enum):
     DISAPPROVE = 0
     UNKNOWN = -1
 
-    @property
-    def numeric(self) -> float | None:
-        """1.0 for approve, 0.0 for disapprove, None when unknown."""
-        if self is Attitude.UNKNOWN:
-            return None
-        return float(self.value)
-
     @classmethod
-    def from_numeric(cls, value: float | int | None) -> "Attitude":
-        if value is None:
-            return cls.UNKNOWN
-        return cls(int(value))
+    def from_numeric(cls, value: int | None) -> "Attitude":
+        """The attitude of 1, 0, -1 or None; any other value is an IdentityError."""
+        if value is not None and value not in (1, 0, -1):
+            raise IdentityError(f"not an attitude value: {value!r}")
+        return cls.UNKNOWN if value is None else cls(int(value))
 
 
 @dataclass(frozen=True)
@@ -53,14 +47,6 @@ class Idea:
     id: IdeaId
     text: str
     author: ParticipantId | None = None
-
-
-@dataclass(frozen=True)
-class ApprovalSet:
-    """The ideas a participant currently approves of."""
-
-    participant: ParticipantId
-    ideas: frozenset[IdeaId]
 
 
 class AttitudeMatrix:
@@ -170,12 +156,6 @@ class AttitudeMatrix:
         self._check_idea(p)
         return Attitude(self._codes.item(i, p))
 
-    def approval_set(self, i: ParticipantId) -> ApprovalSet:
-        """Exactly the ideas participant ``i`` has approved."""
-        self._check_participant(i)
-        approved = np.flatnonzero(self._codes[i] == 1)
-        return ApprovalSet(participant=i, ideas=frozenset(int(p) for p in approved))
-
     def column_counts(self, p: IdeaId) -> tuple[int, int]:
         """(approvals, responses) in column ``p``."""
         self._check_idea(p)
@@ -186,13 +166,6 @@ class AttitudeMatrix:
         """(approvals, responses) per idea, as two length-m arrays."""
         codes = self._codes
         return (codes == 1).sum(axis=0), (codes >= 0).sum(axis=0)
-
-    def column_mean(self, p: IdeaId) -> float | None:
-        """Mean of the known numeric values in column ``p``; None if none."""
-        approvals, responses = self.column_counts(p)
-        if responses == 0:
-            return None
-        return approvals / responses
 
     def completion_rate(self) -> float:
         """Fraction of known cells among all n * m cells."""
@@ -226,12 +199,6 @@ class AttitudeMatrix:
         """Dense boolean approvals; unknown counts as not approved."""
         return self._codes == 1
 
-    def to_dense(self) -> np.ndarray:
-        """Dense float matrix with NaN where unknown."""
-        out = self._codes.astype(float)
-        out[self._codes < 0] = np.nan
-        return out
-
     # -- properties -------------------------------------------------------
 
     @property
@@ -258,10 +225,6 @@ class AttitudeMatrix:
     def frozen(self) -> bool:
         return self._frozen
 
-    def exposure_count(self, p: IdeaId) -> int:
-        self._check_idea(p)
-        return self._exposure[p]
-
     @property
     def exposures(self) -> np.ndarray:
         return np.array(self._exposure, dtype=np.int64)
@@ -278,11 +241,6 @@ class AttitudeMatrix:
     def n_known(self) -> int:
         return int(np.count_nonzero(self._codes >= 0))
 
-    def known_items(self) -> dict[tuple[int, int], Attitude]:
-        """The known cells as a map from (participant, idea) to attitude."""
-        rows, cols = np.nonzero(self._codes >= 0)
-        return {(i, p): Attitude(self._codes.item(i, p)) for i, p in zip(rows.tolist(), cols.tolist())}
-
     # -- construction helpers ----------------------------------------------
 
     @classmethod
@@ -290,7 +248,8 @@ class AttitudeMatrix:
         """Build a matrix from nested values 1 / 0 / None (or Attitude).
 
         Every row becomes an active participant; idea texts default to
-        ``idea <j>``.
+        ``idea <j>``. -1 also reads as unknown; any other value raises
+        IdentityError.
         """
         rows = [list(r) for r in rows]
         m = len(rows[0]) if rows else (len(texts) if texts else 0)

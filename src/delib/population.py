@@ -4,8 +4,10 @@ Participants live at points in a low-dimensional latent space, drawn from
 a mixture of Gaussians; ideas live in the same space, jittered around
 their author's position. A participant approves an idea when their
 distance to it, plus Gaussian response noise, falls inside the approval
-radius. Because the latent state is known, the module can also hand out a
-noise-free ground-truth matrix to score estimation quality against.
+radius. Responses come from one model, :func:`sample_attitudes`, which
+answers a whole query plan at once. Because the latent state is known, the
+module can also hand out a noise-free ground-truth matrix to score
+estimation quality against; at zero noise the responses equal it.
 
 Everything is a pure function of (config, seed): churn, responses, and
 arrivals each derive their generator from the seed plus the round index,
@@ -289,35 +291,16 @@ def generate_population(config: PopulationConfig, seed: int | None = None) -> Po
     return model
 
 
-def sample_attitude(model: PopulationModel, i: int, p: int, round_seed: int) -> Attitude:
-    """Noisy approval response of participant i to idea p.
-
-    Approve iff distance(i, p) + eps < approval_radius with
-    eps ~ Normal(0, noise_sigma^2). Never returns unknown: abstention is a
-    routing concern, not a response one. Deterministic per
-    (model seed, round_seed, i, p). The distance is the square root of the
-    summed squares, as in :func:`sample_attitudes` and :func:`ground_truth`,
-    so at noise_sigma = 0 all three agree bit for bit.
-    """
-    if not 0 <= i < model.n_participants:
-        raise IdentityError(f"unknown participant {i}")
-    if not 0 <= p < model.n_ideas:
-        raise IdentityError(f"unknown idea {p}")
-    distance = float(np.sqrt(((model.participant_positions[i] - model.idea_positions[p]) ** 2).sum()))
-    eps = 0.0
-    if model.config.noise_sigma > 0:
-        rng = _rng(model.seed, _TAG_RESPONSE, round_seed, i, p)
-        eps = float(rng.normal(0.0, model.config.noise_sigma))
-    return Attitude.APPROVE if distance + eps < model.config.approval_radius else Attitude.DISAPPROVE
-
-
 def sample_attitudes(model: PopulationModel, pairs, round_seed: int) -> list[Attitude]:
-    """Vectorized batch of responses for one round's query plan.
+    """Noisy approval responses to one round's query plan, in plan order.
 
-    Uses a single per-round noise stream over the pairs in plan order, so
-    it is deterministic for a given plan but not cell-for-cell identical to
-    per-pair :func:`sample_attitude` draws. At noise_sigma = 0 both paths
-    equal the ground truth.
+    Pair (i, p) approves iff distance(i, p) + eps < approval_radius, with
+    eps ~ Normal(0, noise_sigma^2) drawn from one per-round stream over the
+    pairs in plan order, so the answers are deterministic per (model seed,
+    round_seed, pairs). Never returns unknown: abstention is a routing
+    concern, not a response one. The distance is the square root of the
+    summed squares, as in :func:`ground_truth`, so at noise_sigma = 0 every
+    answer equals the ground truth bit for bit.
     """
     pairs = list(pairs)
     if not pairs:

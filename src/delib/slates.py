@@ -241,11 +241,11 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1) -> list[JrVio
         raise ParameterError("slate target_k must be at least 1")
     if level < 1:
         raise ParameterError("audit level must be at least 1")
+    slate_ids = _validated_ideas(matrix, slate.ideas)
     approvals = matrix.approvals()
     n, m = approvals.shape
     if n == 0 or m == 0:
         return []
-    slate_ids = sorted(slate.ideas)
     satisfaction = approvals[:, slate_ids].sum(axis=1) if slate_ids else np.zeros(n, dtype=int)
     threshold = level * n / slate.target_k
     deprived = satisfaction < level

@@ -372,6 +372,7 @@ CONFIG_VALUE_CASES = [
     (("routing_policy",), 5, 2),
     (("scoring",), 5, 2),
     (("landscape_space",), "bogus", 3),
+    (("landscape_k",), 11, 3),
     *[(path, [], 2) for path in SECTIONS],
 ]
 

@@ -60,6 +60,28 @@ def test_match_accuracy_caps_cluster_count():
         match_accuracy(list(range(11)), list(range(11)))
 
 
+def test_match_accuracy_rejects_mismatched_or_negative_labels():
+    with pytest.raises(ParameterError, match="differ in shape"):
+        match_accuracy([0, 1, 1, 1], [0, 1])
+    with pytest.raises(ParameterError, match="differ in shape"):
+        match_accuracy([], [0])
+    with pytest.raises(ParameterError, match="non-negative"):
+        match_accuracy([0, -1], [0, 1])
+    with pytest.raises(ParameterError, match="non-negative"):
+        match_accuracy([0, 1], [-1, 1])
+
+
+def test_config_rejects_more_clusters_than_label_matching_takes():
+    # cluster recovery matches at most 10 clusters onto at most 10 blocs
+    small_config(landscape_k=10).validate()
+    with pytest.raises(ParameterError, match="may not exceed 10"):
+        small_config(landscape_k=11).validate()
+    eleven = tuple(MixtureComponent(1.0, (float(j), 0.0), 0.5) for j in range(11))
+    small_config(population=PopulationConfig(n0=12, approval_radius=3.0, mixture=eleven[:10])).validate()
+    with pytest.raises(ParameterError, match="may not exceed 10"):
+        small_config(population=PopulationConfig(n0=12, approval_radius=3.0, mixture=eleven)).validate()
+
+
 def test_sign_test_matches_scipy():
     for wins, trials in [(15, 20), (16, 20), (20, 20), (10, 20), (0, 5)]:
         ours = sign_test_pvalue(wins, trials)
@@ -166,9 +188,9 @@ def test_phase_purity_of_sense_making():
         model.spawn_idea(author, rng)
         matrix.add_idea(f"i{j}", author)
     snap = matrix.snapshot()
-    before = (snap.known_items(), snap.exposures.tolist(), snap.shape)
+    before = (snap.codes().tolist(), snap.exposures.tolist(), snap.shape)
     _sense_making(config, snap, model, 1, 0, [])
-    after = (snap.known_items(), snap.exposures.tolist(), snap.shape)
+    after = (snap.codes().tolist(), snap.exposures.tolist(), snap.shape)
     assert before == after
 
 

@@ -25,7 +25,7 @@ def test_add_idea_grows_from_empty():
     assert p == 0
     assert m.shape == (1, 1)
     assert m.get(0, 0) is U
-    assert m.exposure_count(0) == 0
+    assert m.exposures.tolist() == [0]
 
 
 def test_add_idea_dense_indexing():
@@ -103,16 +103,20 @@ def test_exposure_served_vs_volunteered():
     m = fresh(2)
     m.add_idea("x", 0)
     m.record_attitude(0, 0, A, served=True)
-    assert m.exposure_count(0) == 1
+    assert m.exposures.tolist() == [1]
     # volunteered first-time answer still counts as one exposure
     m.record_attitude(1, 0, D)
-    assert m.exposure_count(0) == 2
+    assert m.exposures.tolist() == [2]
     # served query that the participant skipped
     m.note_exposure(0)
-    assert m.exposure_count(0) == 3
+    assert m.exposures.tolist() == [3]
     # unserved overwrite adds nothing
     m.record_attitude(1, 0, A)
-    assert m.exposure_count(0) == 3
+    assert m.exposures.tolist() == [3]
+
+
+def approval_set(matrix, i):
+    return set(np.flatnonzero(matrix.approvals()[i]).tolist())
 
 
 def test_approval_set_examples():
@@ -121,26 +125,34 @@ def test_approval_set_examples():
         m.add_idea(f"i{j}", 0)
         if v is not U:
             m.record_attitude(0, j, v)
-    assert m.approval_set(0).ideas == frozenset({0})
+    assert approval_set(m, 0) == {0}
 
     empty = fresh(1)
     empty.add_idea("x", 0)
-    assert empty.approval_set(0).ideas == frozenset()
+    assert approval_set(empty, 0) == set()
 
     full = fresh(1)
     for j in range(5):
         full.add_idea(f"i{j}", 0)
         full.record_attitude(0, j, A)
-    assert full.approval_set(0).ideas == frozenset(range(5))
+    assert approval_set(full, 0) == set(range(5))
 
 
 def test_column_mean_examples():
-    m = AttitudeMatrix.from_dense([[1], [0], [None]])
-    assert m.column_mean(0) == 0.5
-    ones = AttitudeMatrix.from_dense([[1], [1], [1]])
-    assert ones.column_mean(0) == 1.0
-    blank = AttitudeMatrix.from_dense([[None], [None]])
-    assert blank.column_mean(0) is None
+    # the column mean is approvals / responses; a column without responses has none
+    m = AttitudeMatrix.from_dense([[1, 1, None], [0, 1, None], [None, 1, None]])
+    approvals, responses = m.column_counts_all()
+    assert approvals.tolist() == [1, 3, 0]
+    assert responses.tolist() == [2, 3, 0]
+    assert (approvals[:2] / responses[:2]).tolist() == [0.5, 1.0]
+
+
+def test_from_dense_accepts_only_attitude_values():
+    m = AttitudeMatrix.from_dense([[1, 0, -1, None, A, U]])
+    assert [m.get(0, p) for p in range(6)] == [A, D, U, U, A, U]
+    for value in (0.9, 2, -2, 0.5, float("nan"), "1"):
+        with pytest.raises(IdentityError, match="not an attitude value"):
+            AttitudeMatrix.from_dense([[value]])
 
 
 def test_completion_rate_examples():
@@ -190,17 +202,12 @@ def test_sparse_dense_equivalence_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
         m = random_matrix(rng)
-        dense = m.to_dense()
-        entries = m.known_items()
+        codes = m.codes()
+        assert np.array_equal(m.known_mask(), codes >= 0)
+        assert np.array_equal(m.approvals(), codes == 1)
         for i in range(m.n_participants):
             for p in range(m.n_ideas):
-                via_map = entries.get((i, p), Attitude.UNKNOWN)
-                via_dense = dense[i, p]
-                if via_map is Attitude.UNKNOWN:
-                    assert np.isnan(via_dense)
-                else:
-                    assert via_dense == via_map.numeric
-                assert m.get(i, p) is via_map
+                assert m.get(i, p) is Attitude(codes[i, p])
 
 
 def test_monotone_growth_and_approval_exactness_random_ops():
@@ -228,10 +235,11 @@ def test_monotone_growth_and_approval_exactness_random_ops():
             m.depart(int(rng.choice(sorted(m.active_participants))))
         assert m.shape >= last_shape
         last_shape = m.shape
-    assert m.known_items() == shadow
+    codes = m.codes()
+    assert {(i, p): Attitude(codes[i, p]) for i, p in zip(*np.nonzero(codes >= 0))} == shadow
     for i in range(m.n_participants):
         expected = {p for (pi, p), v in shadow.items() if pi == i and v is A}
-        assert m.approval_set(i).ideas == expected
+        assert approval_set(m, i) == expected
 
 
 def test_column_mean_matches_direct_summation():
@@ -239,13 +247,12 @@ def test_column_mean_matches_direct_summation():
     for _ in range(30):
         m = random_matrix(rng)
         codes = m.codes()
+        approvals, responses = m.column_counts_all()
         for p in range(m.n_ideas):
             a = int((codes[:, p] == 1).sum())
             b = int((codes[:, p] == 0).sum())
-            if a + b == 0:
-                assert m.column_mean(p) is None
-            else:
-                assert m.column_mean(p) == pytest.approx(a / (a + b))
+            assert (approvals[p], responses[p]) == (a, a + b)
+            assert m.column_counts(p) == (a, a + b)
 
 
 def test_exposure_never_below_known_count():
@@ -260,4 +267,4 @@ def test_exposure_never_below_known_count():
         if i in m.active_participants:
             m.record_attitude(i, p, a, served=bool(rng.integers(2)))
         known = (m.codes() >= 0).sum(axis=0)
-        assert all(m.exposure_count(p) >= known[p] for p in range(3))
+        assert all(m.exposures >= known)

@@ -54,16 +54,17 @@ def assert_agrees(matrix: AttitudeMatrix, model: DictModel) -> None:
     for i in range(model.n):
         for p in range(model.m):
             assert matrix.get(i, p) is model.cells.get((i, p), Attitude.UNKNOWN)
-    assert matrix.known_items() == model.cells
+    codes = matrix.codes()
+    assert {(int(i), int(p)): Attitude(codes[i, p]) for i, p in zip(*(codes >= 0).nonzero())} == model.cells
     assert matrix.n_known == len(model.cells)
     if model.n * model.m == 0:
         with pytest.raises(UndefinedRateError):
             matrix.completion_rate()
     else:
         assert matrix.completion_rate() == len(model.cells) / (model.n * model.m)
-    for i in range(model.n):
-        approved = {p for (row, p), a in model.cells.items() if row == i and a is Attitude.APPROVE}
-        assert matrix.approval_set(i).ideas == approved
+    assert {(int(i), int(p)) for i, p in zip(*matrix.approvals().nonzero())} == {
+        cell for cell, a in model.cells.items() if a is Attitude.APPROVE
+    }
     approvals, responses = matrix.column_counts_all()
     assert approvals.tolist() == [
         sum(1 for (_, p), a in model.cells.items() if p == q and a is Attitude.APPROVE) for q in range(model.m)

@@ -12,7 +12,6 @@ from delib import (
     PopulationConfig,
     generate_population,
     ground_truth,
-    sample_attitude,
     sample_attitudes,
     step_churn,
 )
@@ -136,14 +135,14 @@ def test_sample_attitude_at_same_point_approves():
     rng = np.random.default_rng(0)
     model.idea_positions.append(np.zeros(2))
     model.idea_authors.append(0)
-    assert sample_attitude(model, 0, 0, round_seed=1) is Attitude.APPROVE
+    assert sample_attitudes(model, [(0, 0)], round_seed=1) == [Attitude.APPROVE]
 
 
 def test_sample_attitude_far_away_disapproves():
     model = zero_noise_model()
     model.idea_positions.append(np.array([2.0, 0.0]))  # distance 2 * radius
     model.idea_authors.append(0)
-    assert sample_attitude(model, 0, 0, round_seed=1) is Attitude.DISAPPROVE
+    assert sample_attitudes(model, [(0, 0)], round_seed=1) == [Attitude.DISAPPROVE]
 
 
 def test_sample_attitude_boundary_with_noise_is_coin_flip():
@@ -157,9 +156,9 @@ def test_sample_attitude_boundary_with_noise_is_coin_flip():
     model = generate_population(config, 0)
     model.idea_positions.append(np.array([1.0, 0.0]))  # distance exactly the radius
     model.idea_authors.append(0)
-    approvals = sum(
-        sample_attitude(model, 0, 0, round_seed=r) is Attitude.APPROVE for r in range(10_000)
-    )
+    # each copy of the pair takes its own draw from the round's noise stream
+    answers = sample_attitudes(model, [(0, 0)] * 10_000, round_seed=1)
+    approvals = sum(a is Attitude.APPROVE for a in answers)
     assert abs(approvals / 10_000 - 0.5) < 0.02
 
 
@@ -230,10 +229,6 @@ def test_noise_free_sampling_equals_ground_truth():
     for _ in range(5):
         model.spawn_idea(int(rng.integers(8)), rng)
     truth = ground_truth(model)
-    for i in range(8):
-        for p in range(5):
-            sampled = sample_attitude(model, i, p, round_seed=7)
-            assert (sampled is Attitude.APPROVE) == bool(truth.matrix[i, p])
     batch = sample_attitudes(model, [(i, p) for i in range(8) for p in range(5)], round_seed=7)
     flat = [bool(truth.matrix[i, p]) for i in range(8) for p in range(5)]
     assert [a is Attitude.APPROVE for a in batch] == flat
@@ -253,19 +248,18 @@ def _two_point_model(participant, idea, radius):
     return model
 
 
-def _three_verdicts(model):
-    single = sample_attitude(model, 0, 0, round_seed=1)
+def _two_verdicts(model):
     (batch,) = sample_attitudes(model, [(0, 0)], round_seed=1)
     truth = Attitude.APPROVE if ground_truth(model).matrix[0, 0] else Attitude.DISAPPROVE
-    return single, batch, truth
+    return batch, truth
 
 
 def test_noise_free_sample_attitude_agrees_on_the_boundary():
     # np.linalg.norm of this offset is one ulp below sqrt of its summed
     # squares, which is exactly the radius: the batch and the truth
-    # disapprove, and so must the single draw
+    # both disapprove
     model = _two_point_model([0.4116305363741328, 1.0425133694426776], [0.0, 0.0], 1.1208362163770322)
-    assert _three_verdicts(model) == (Attitude.DISAPPROVE,) * 3
+    assert _two_verdicts(model) == (Attitude.DISAPPROVE,) * 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,8 +271,8 @@ def test_noise_free_single_batch_and_truth_agree(dim, data):
     # the radius sits on the distance or one ulp above it, where rounding decides
     radius = data.draw(st.sampled_from([distance, float(np.nextafter(distance, np.inf))]))
     if radius > 0:
-        single, batch, truth = _three_verdicts(_two_point_model(participant, idea, radius))
-        assert single is batch is truth
+        batch, truth = _two_verdicts(_two_point_model(participant, idea, radius))
+        assert batch is truth
 
 
 def test_support_monotone_in_radius():

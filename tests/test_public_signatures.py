@@ -18,7 +18,6 @@ import delib
 from delib import AttitudeMatrix
 
 PUBLIC = {
-    "ApprovalSet": ("participant", "ideas"),
     "Attitude": None,
     "AttitudeMatrix": (),
     "BlockingCoalition": ("candidate", "members"),
@@ -84,7 +83,6 @@ PUBLIC = {
         "exposure_gini", "queries_served", "oracle_exact", "total_exposure",
     ),
     "run_loop": ("config",),
-    "sample_attitude": ("model", "i", "p", "round_seed"),
     "sample_attitudes": ("model", "pairs", "round_seed"),
     "ScoringKind": None,
     "sign_test_pvalue": ("successes", "trials"),
@@ -100,22 +98,18 @@ MATRIX_MEMBERS = {
     "active_participants": None,
     "add_idea": ("self", "text", "author"),
     "add_participant": ("self",),
-    "approval_set": ("self", "i"),
     "approvals": ("self",),
     "audit_log": None,
     "codes": ("self",),
     "column_counts": ("self", "p"),
     "column_counts_all": ("self",),
-    "column_mean": ("self", "p"),
     "completion_rate": ("self",),
     "depart": ("self", "i"),
-    "exposure_count": ("self", "p"),
     "exposures": None,
     "from_dense": ("rows", "texts"),
     "frozen": None,
     "get": ("self", "i", "p"),
     "ideas": None,
-    "known_items": ("self",),
     "known_mask": ("self",),
     "n_ideas": None,
     "n_known": None,
@@ -124,7 +118,6 @@ MATRIX_MEMBERS = {
     "record_attitude": ("self", "i", "p", "attitude", "served"),
     "shape": None,
     "snapshot": ("self",),
-    "to_dense": ("self",),
     "total_exposure": None,
 }
 

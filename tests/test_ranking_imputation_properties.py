@@ -53,7 +53,7 @@ def reference_elicitation_ranking(matrix, weights):
     priorities = []
     for p in range(m):
         mean = estimate_support(matrix, p, weights).mean
-        bonus = weights.c_explore * math.sqrt(log_term / (matrix.exposure_count(p) + 1.0))
+        bonus = weights.c_explore * math.sqrt(log_term / (matrix.exposures[p] + 1.0))
         priorities.append(mean + bonus)
     order = sorted(range(m), key=lambda p: (-priorities[p], p))
     return Ranking(order=tuple(order), provenance=tuple(priorities[p] for p in order))

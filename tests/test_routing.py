@@ -14,7 +14,7 @@ from delib import (
     plan_uncertainty,
     plan_uniform,
     proportional_ranking,
-    sample_attitude,
+    sample_attitudes,
     wilson_interval,
 )
 
@@ -218,8 +218,8 @@ def test_uncertainty_max_width_strictly_decreases():
     widths = [max_width()]
     for round_index in range(1, 51):
         plan = plan_uncertainty(matrix, matrix.active_participants, 50, seed=round_index)
-        for i, p in plan.pairs:
-            matrix.record_attitude(i, p, sample_attitude(model, i, p, round_index), served=True)
+        for (i, p), attitude in zip(plan.pairs, sample_attitudes(model, plan.pairs, round_index)):
+            matrix.record_attitude(i, p, attitude, served=True)
         widths.append(max_width())
     # extra responses can momentarily widen a Wilson interval when the
     # observed rate drifts toward 1/2, so strict decrease is asserted on the

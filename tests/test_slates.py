@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delib import (
+    Attitude,
     AttitudeMatrix,
     CapacityError,
     IdentityError,
@@ -28,7 +29,10 @@ H, C = ScoringKind.HARMONIC, ScoringKind.COVERAGE
 
 
 def approval_sets(matrix):
-    return [matrix.approval_set(i).ideas for i in range(matrix.n_participants)]
+    return [
+        frozenset(p for p in range(matrix.n_ideas) if matrix.get(i, p) is Attitude.APPROVE)
+        for i in range(matrix.n_participants)
+    ]
 
 
 def oracle_score(sets, ideas, kind):
@@ -298,6 +302,15 @@ def test_jr_stricter_level_enumerates_pairs():
     assert stricter[0].group == frozenset({0, 1, 2, 3})
 
 
+def test_jr_audit_rejects_unknown_slate_ideas():
+    m = from_approvals([{0}, {1}], 2)
+    for ideas in ({-1}, {9}, {0, 2}):
+        slate = Slate(ideas=frozenset(ideas), target_k=2, score=0.0, kind=C)
+        for level in (1, 2):
+            with pytest.raises(IdentityError, match="unknown idea"):
+                jr_audit(m, slate, level=level)
+
+
 def reference_jr_audit(matrix, slate, level):
     """jr_audit with its former two group loops: single ideas at level 1,
     idea combinations above it."""
@@ -356,6 +369,6 @@ def test_jr_audit_equals_the_per_level_loops(inputs, level):
 def test_imputed_approvals_fills_by_column_mean():
     m = AttitudeMatrix.from_dense([[1, 0], [1, None], [None, None]])
     filled = imputed_approvals(m)
-    assert filled.get(2, 0).numeric == 1.0  # column mean 1.0
-    assert filled.get(1, 1).numeric == 0.0  # column mean 0.0
+    assert filled.get(2, 0) is Attitude.APPROVE  # column mean 1.0
+    assert filled.get(1, 1) is Attitude.DISAPPROVE  # column mean 0.0
     assert filled.completion_rate() == 1.0
