@@ -16,6 +16,7 @@ so whole trajectories replay exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
@@ -300,11 +301,17 @@ def sample_attitudes(model: PopulationModel, pairs, round_seed: int) -> list[Att
     round_seed, pairs). Never returns unknown: abstention is a routing
     concern, not a response one. The distance is the square root of the
     summed squares, as in :func:`ground_truth`, so at noise_sigma = 0 every
-    answer equals the ground truth bit for bit.
+    answer equals the ground truth bit for bit. A pair naming a participant
+    or idea the model does not have raises :class:`IdentityError`.
     """
     pairs = list(pairs)
     if not pairs:
         return []
+    index = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+    unknown = (index < 0) | (index >= (model.n_participants, model.n_ideas))
+    if unknown.any():
+        row, column = np.argwhere(unknown)[0]
+        raise IdentityError(f"unknown {('participant', 'idea')[column]} {index[row, column]}")
     participants = np.array([model.participant_positions[i] for i, _ in pairs])
     ideas = np.array([model.idea_positions[p] for _, p in pairs])
     distances = np.sqrt(((participants - ideas) ** 2).sum(axis=1))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from delib import (
     Attitude,
+    IdentityError,
     MixtureComponent,
     ParameterError,
     PopulationConfig,
@@ -143,6 +144,20 @@ def test_sample_attitude_far_away_disapproves():
     model.idea_positions.append(np.array([2.0, 0.0]))  # distance 2 * radius
     model.idea_authors.append(0)
     assert sample_attitudes(model, [(0, 0)], round_seed=1) == [Attitude.DISAPPROVE]
+
+
+@pytest.mark.parametrize(
+    ("pair", "message"),
+    [((-1, 0), "unknown participant -1"), ((0, -1), "unknown idea -1"),
+     ((5, 0), "unknown participant 5"), ((0, 1), "unknown idea 1")],
+)
+def test_sample_attitudes_rejects_unknown_pairs(pair, message):
+    config = PopulationConfig(n0=3, approval_radius=1.0, mixture=(MixtureComponent(1.0, (0.0, 0.0), 0.0),), seed=0)
+    model = generate_population(config, 0)
+    model.spawn_idea(None, np.random.default_rng(0))
+    with pytest.raises(IdentityError, match=f"^{message}$"):
+        sample_attitudes(model, [(0, 0), pair], round_seed=1)
+    assert len(sample_attitudes(model, [(2, 0), (0, 0)], round_seed=1)) == 2
 
 
 def test_sample_attitude_boundary_with_noise_is_coin_flip():

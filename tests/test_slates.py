@@ -1,5 +1,8 @@
 import itertools
 import math
+from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,14 @@ from delib import (
     imputed_approvals,
     jr_audit,
     slate_score,
+)
+from delib import slates
+from delib.slates import (
+    ENUMERATION_CAP,
+    _certified_scale,
+    exact_order_and_score,
+    harmonic_table,
+    score_from_approvals,
 )
 
 H, C = ScoringKind.HARMONIC, ScoringKind.COVERAGE
@@ -208,6 +219,127 @@ def test_exact_capacity_error_names_cap():
     m = from_approvals([set()], 40)
     with pytest.raises(CapacityError, match="1000000"):
         exact_slate(m, 20, H)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("m", [0, 3])
+def test_exact_rejects_k_below_one(k, m):
+    with pytest.raises(ParameterError, match="at least 1"):
+        exact_order_and_score(np.zeros((2, m), dtype=bool), k, H)
+    with pytest.raises(ParameterError, match="at least 1"):
+        exact_slate(AttitudeMatrix.from_dense([[0] * m] * 2, texts=[f"{p}" for p in range(m)]), k, C)
+
+
+_EXACT_CHUNK = 4096
+
+
+def reference_exact_order_and_score(approvals, k, kind):
+    """exact_order_and_score before its integer pass: every subset float-scored."""
+    n, m = approvals.shape
+    if k >= m:
+        ids = tuple(range(m))
+        return ids, score_from_approvals(approvals, ids, kind)
+    n_subsets = comb(m, k)
+    if n_subsets > ENUMERATION_CAP:
+        raise CapacityError(
+            f"choose({m}, {k}) = {n_subsets} subsets exceeds the enumeration cap of {ENUMERATION_CAP}"
+        )
+    table = harmonic_table(k)
+    best_score = -np.inf
+    best: tuple[int, ...] = ()
+    combos = itertools.combinations(range(m), k)
+    while True:
+        chunk = list(itertools.islice(combos, _EXACT_CHUNK))
+        if not chunk:
+            break
+        idx = np.array(chunk)
+        counts = approvals[:, idx].sum(axis=2)
+        if kind is ScoringKind.HARMONIC:
+            scores = table[counts].sum(axis=0)
+        else:
+            scores = (counts > 0).sum(axis=0).astype(float)
+        local = int(np.argmax(scores))
+        if scores[local] > best_score:
+            best_score = float(scores[local])
+            best = chunk[local]
+    return best, best_score
+
+
+def swapped_in_pairs(order):
+    """The row permutation that swaps order[0] with order[1], order[2] with order[3], ..."""
+    swap = np.arange(len(order))
+    pairs = len(order) // 2 * 2
+    swap[order[0:pairs:2]], swap[order[1:pairs:2]] = order[1:pairs:2], order[0:pairs:2]
+    return swap
+
+
+@st.composite
+def row_swaps(draw, n):
+    return swapped_in_pairs(np.array(draw(st.permutations(range(n))), dtype=int))
+
+
+@st.composite
+def exact_inputs(draw):
+    """A boolean approval matrix and a slate size: random rows, a few
+    distinct rows repeated, or two halves where the second is the first
+    with rows swapped in pairs. Swapping the halves then maps every subset
+    to one of equal rational score whose float sum may differ."""
+    n, m = draw(st.integers(0, 60)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["random", "duplicate rows", "tied halves"]))
+    rows = st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=1, max_size=max(n, 1))
+    base = np.array(draw(rows), dtype=bool).reshape(-1, m)
+    if shape == "random":
+        approvals = np.resize(base, (n, m))
+    elif shape == "duplicate rows":
+        approvals = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=n, max_size=n))].reshape(n, m)
+    else:
+        half = np.resize(base, (n, m))[:, : (m + 1) // 2]
+        approvals = np.hstack([half, half[draw(row_swaps(n))]])[:, :m]
+    k = draw(st.sampled_from([1, max(1, m - 1), m, m + 1]) | st.integers(1, m))
+    return approvals, k
+
+
+@settings(max_examples=600, deadline=None)
+@given(exact_inputs(), st.sampled_from([H, C]), st.sampled_from([(4096, 1 << 18), (1, 1), (3, 20)]))
+def test_exact_equals_the_float_enumeration(inputs, kind, block_sizes):
+    """Also with blocks small enough that these small inputs span several."""
+    approvals, k = inputs
+    chunk, madds = block_sizes
+    with mock.patch.object(slates, "_EXACT_CHUNK", chunk), mock.patch.object(slates, "_EXACT_MADDS", madds):
+        ids, score = exact_order_and_score(approvals, k, kind)
+    ref_ids, ref_score = reference_exact_order_and_score(approvals, k, kind)
+    assert ids == ref_ids
+    assert score == ref_score
+    assert all(type(p) is int for p in ids) and type(score) is float
+
+
+@pytest.mark.parametrize(("chunk", "madds"), [(4096, 1 << 18), (1, 1)])
+def test_exact_breaks_rational_ties_by_float_score(chunk, madds):
+    rng = np.random.default_rng(17)
+    left = rng.random((20, 3)) < 0.5
+    approvals = np.hstack([left, left[swapped_in_pairs(rng.permutation(20))]])
+    with mock.patch.object(slates, "_EXACT_CHUNK", chunk), mock.patch.object(slates, "_EXACT_MADDS", madds):
+        ids, score = exact_order_and_score(approvals, 3, H)
+    assert (ids, score) == reference_exact_order_and_score(approvals, 3, H)
+
+    def rational(subset):
+        return sum(sum(Fraction(1, j) for j in range(1, c + 1)) for c in approvals[:, subset].sum(axis=1))
+
+    first_rational_max = max(itertools.combinations(range(6), 3), key=rational)
+    assert rational(ids) == rational(first_rational_max)
+    assert ids != first_rational_max  # the floats split this exact tie
+
+
+def test_exact_without_the_certified_bound_scores_every_subset():
+    # at k = 20 the bound n(n + 1 + 2k)·H_k·2^-52 < 1/lcm(1..20) fails from
+    # n = 2,299, so all 21 subsets are float-scored
+    assert _certified_scale(2_298, 20, H) is not None
+    assert _certified_scale(2_299, 20, H) is None
+    rng = np.random.default_rng(16)
+    approvals = rng.random((2_400, 21)) < 0.9
+    approvals[:, 20] = approvals[rng.permutation(2_400), 0]  # ideas 0 and 20: one count, two row orders
+    for kind in (H, C):
+        assert exact_order_and_score(approvals, 20, kind) == reference_exact_order_and_score(approvals, 20, kind)
 
 
 # -- properties ----------------------------------------------------------------
