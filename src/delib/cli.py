@@ -28,7 +28,7 @@ from .errors import (
 from .landscape import CLUSTER_SPACES, build_landscape
 from .loop import LoopConfig, plan_for_policy, run_loop
 from .rankings import elicitation_ranking, proportional_ranking
-from .routing import ElicitationWeights
+from .routing import POLICY_NAMES, ElicitationWeights
 from .slates import ScoringKind, exact_slate, greedy_slate, jr_audit
 
 EXIT_OK = 0
@@ -65,26 +65,16 @@ def _solve_slate(matrix, args):
 def _cmd_slate(args) -> None:
     matrix = _load_matrix(args.input)
     slate = _solve_slate(matrix, args)
-    if args.format == "csv":
-        _emit(dataio.csv_text(*dataio.csv_table(slate)), args.out)
-        return
-    violations = jr_audit(matrix, slate)
-    _emit(dataio.json_text(dataio.slate_to_dict(slate, violations)), args.out)
+    # the CSV form lists the slate's ideas alone, so it runs no audit
+    value = slate if args.format == "csv" else (slate, jr_audit(matrix, slate))
+    _emit(dataio.result_text(value, args.format), args.out)
 
 
 def _cmd_audit(args) -> None:
     matrix = _load_matrix(args.input)
     slate = _solve_slate(matrix, args)
     violations = jr_audit(matrix, slate, level=args.level)
-    if args.format == "csv":
-        rows = [
-            [" ".join(map(str, sorted(v.group))), " ".join(map(str, sorted(v.witness_ideas))),
-             dataio.fmt_float(v.group_share)]
-            for v in violations
-        ]
-        _emit(dataio.csv_text(["group", "witness_ideas", "group_share"], rows), args.out)
-        return
-    _emit(dataio.json_text(dataio.slate_to_dict(slate, violations)), args.out)
+    _emit(dataio.result_text((slate, violations), args.format), args.out)
 
 
 def _cmd_rank(args) -> None:
@@ -96,10 +86,7 @@ def _cmd_rank(args) -> None:
             c_explore=args.c_explore, prior_mean=args.prior_mean, prior_weight=args.prior_weight
         )
         ranking = elicitation_ranking(matrix, weights)
-    if args.format == "csv":
-        _emit(dataio.csv_text(*dataio.csv_table(ranking)), args.out)
-        return
-    _emit(dataio.json_text(dataio.ranking_to_rows(ranking)), args.out)
+    _emit(dataio.result_text(ranking, args.format), args.out)
 
 
 def _cmd_landscape(args) -> None:
@@ -111,10 +98,7 @@ def _cmd_landscape(args) -> None:
 def _cmd_route(args) -> None:
     matrix = _load_matrix(args.input)
     plan = plan_for_policy(args.policy, matrix, args.budget, ElicitationWeights(), args.seed)
-    if args.format == "csv":
-        _emit(dataio.csv_text(*dataio.csv_table(plan)), args.out)
-        return
-    _emit(dataio.json_text(dataio.plan_to_dict(plan)), args.out)
+    _emit(dataio.result_text(plan, args.format), args.out)
 
 
 def _cmd_simulate(args) -> None:
@@ -135,7 +119,7 @@ def _cmd_import_polis(args) -> None:
     matrix, report = dataio.import_polis_long(args.input, pass_as=args.pass_as)
     if args.out:
         dataio.export_wide_csv(matrix, args.out)
-    _emit(dataio.json_text(report.to_dict()), None)
+    _emit(dataio.result_text(report, "json"), None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,28 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_seed=False):
         p.add_argument("--input", required=True, help="wide-format attitude matrix CSV")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--format", choices=dataio.FORMATS, default="json")
         if needs_seed:
             p.add_argument("--seed", type=int, required=True, help="explicit seed; no wall-clock seeding")
 
-    p_slate = sub.add_parser("slate", help="select a representative slate of ideas")
-    add_common(p_slate)
-    p_slate.add_argument("--k", type=int, required=True)
-    p_slate.add_argument("--rule", choices=["harmonic", "coverage"], default="harmonic")
-    solver = p_slate.add_mutually_exclusive_group()
-    solver.add_argument("--exact", action="store_true")
-    solver.add_argument("--greedy", dest="exact", action="store_false")
-    p_slate.set_defaults(exact=False, func=_cmd_slate)
+    def add_slate(name, help, func, exact, level=False):
+        p = sub.add_parser(name, help=help)
+        add_common(p)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--rule", choices=[kind.value for kind in ScoringKind], default="harmonic")
+        if level:
+            p.add_argument("--level", type=int, default=1, help="audit strictness level (default 1)")
+        solver = p.add_mutually_exclusive_group()
+        solver.add_argument("--exact", action="store_true")
+        solver.add_argument("--greedy", dest="exact", action="store_false")
+        p.set_defaults(exact=exact, func=func)
 
-    p_audit = sub.add_parser("audit", help="slate selection plus representation audit")
-    add_common(p_audit)
-    p_audit.add_argument("--k", type=int, required=True)
-    p_audit.add_argument("--rule", choices=["harmonic", "coverage"], default="harmonic")
-    p_audit.add_argument("--level", type=int, default=1, help="audit strictness level (default 1)")
-    solver = p_audit.add_mutually_exclusive_group()
-    solver.add_argument("--exact", action="store_true")
-    solver.add_argument("--greedy", dest="exact", action="store_false")
-    p_audit.set_defaults(exact=True, func=_cmd_audit)
+    add_slate("slate", "select a representative slate of ideas", _cmd_slate, exact=False)
+    add_slate("audit", "slate selection plus representation audit", _cmd_audit, exact=True, level=True)
 
     p_rank = sub.add_parser("rank", help="rank all ideas")
     add_common(p_rank)
@@ -186,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="plan the next attitude queries")
     add_common(p_route, needs_seed=True)
-    p_route.add_argument("--policy", choices=["uniform", "ranking", "uncertainty"], required=True)
+    p_route.add_argument("--policy", choices=POLICY_NAMES, required=True)
     p_route.add_argument("--budget", type=int, required=True)
     p_route.set_defaults(func=_cmd_route)
 
@@ -199,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_polis = sub.add_parser("import-polis", help="ingest a Polis-style vote export")
     p_polis.add_argument("--input", required=True)
     p_polis.add_argument("--out", default=None, help="wide-format CSV to write")
-    p_polis.add_argument("--pass-as", dest="pass_as", choices=["unknown", "disapprove"], default="unknown")
+    p_polis.add_argument("--pass-as", dest="pass_as", choices=dataio.PASS_AS, default="unknown")
     p_polis.set_defaults(func=_cmd_import_polis)
 
     return parser

@@ -17,8 +17,11 @@ configurable and always reported. All three readers stream rows from one
 UTF-8 CSV reader, and a file that cannot be opened, decoded or parsed
 raises ``FormatError``.
 
-All writers are atomic (temp file + rename) and serialize floats with nine
-significant digits.
+Results have one encoder, ``result_text(value, format)``: it gives the JSON
+or CSV text of a matrix, slate, audited slate, ranking, query plan,
+timeline or import report. The CLI prints its text, and ``export_results``
+and ``write_timeline`` write it. All writers are atomic (temp file +
+rename) and serialize floats with nine significant digits.
 """
 
 from __future__ import annotations
@@ -57,18 +60,6 @@ class ImportReport:
     @property
     def cells_skipped(self) -> int:
         return len(self.skipped)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "participants_created": self.participants_created,
-            "ideas_created": self.ideas_created,
-            "cells_set": self.cells_set,
-            "cells_skipped": self.cells_skipped,
-            "passes": self.passes,
-            "skipped": [list(item) for item in self.skipped],
-            "value_mapping": self.value_mapping,
-        }
 
 
 def fmt_float(x: float) -> str:
@@ -118,10 +109,6 @@ def csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return "".join(line[:-2] + "\n" for line in lines)
-
-
-def write_json(value, path) -> None:
-    atomic_write_text(path, json_text(value))
 
 
 def write_csv_rows(path, header: list[str], rows) -> None:
@@ -190,8 +177,8 @@ def _counted(matrix: AttitudeMatrix, report: ImportReport) -> tuple[AttitudeMatr
 # -- matrix: wide format ---------------------------------------------------------
 
 
-def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
-    """Write the wide format; idea texts become headers.
+def _wide_text(matrix: AttitudeMatrix) -> str:
+    """The wide format's text; idea texts become headers.
 
     A text already in the header gets `` [id]`` suffixes until it is
     unused, so the reader never meets a duplicated header. A header longer
@@ -210,13 +197,21 @@ def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
         seen.add(text)
         texts.append(text)
     rows = [[str(i)] + cells for i, cells in enumerate(_cell_texts(matrix))]
-    write_csv_rows(path, ["participant"] + texts, rows)
+    return csv_text(["participant"] + texts, rows)
+
+
+def export_wide_csv(matrix: AttitudeMatrix, path) -> None:
+    """Write the wide format, the CSV form of ``result_text``."""
+    atomic_write_text(path, _wide_text(matrix))
 
 
 def import_wide_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
     """Read the wide format: 1 approve, 0 disapprove, empty unknown.
 
-    Malformed cells are skipped and reported with their location.
+    Rows that repeat a participant label merge into one participant: a
+    later ``0`` or ``1`` overwrites the cell (logged in the matrix's audit
+    log), and a later empty cell leaves a known cell as it was. Malformed
+    cells are skipped and reported with their location.
     """
     rows = _csv_rows(path)
     _, header = next(rows)
@@ -255,7 +250,13 @@ def export_long_csv(matrix: AttitudeMatrix, path) -> None:
 
 
 def import_long_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
-    """Read (participant, idea, value) triples; later rows win."""
+    """Read (participant, idea, value) triples.
+
+    Rows that repeat a (participant, idea) pair merge as the wide reader's
+    rows do: a later ``0`` or ``1`` overwrites the cell (logged in the
+    matrix's audit log), and a later empty value leaves a known cell as it
+    was, so ``a,x,1`` then ``a,x,`` reads back ``1``.
+    """
     rows = _csv_rows(path)
     _, header = next(rows)
     if len(header) < 3:
@@ -280,6 +281,8 @@ def import_long_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
 
 
 # -- Polis-style long export --------------------------------------------------------
+
+PASS_AS = ("unknown", "disapprove")  # what a Polis pass can be read as
 
 _POLIS_ROLES = {
     "participant": ("participant", "voter"),
@@ -310,10 +313,13 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
 
     Votes map 1 -> approve, -1 -> disapprove, 0 -> pass. A pass becomes
     unknown by default (``pass_as="unknown"``) or an explicit disapproval
-    with ``pass_as="disapprove"``. Duplicate votes resolve last-write-wins
-    in row order.
+    with ``pass_as="disapprove"``. Every mapped vote is written, so a
+    repeated (participant, comment) pair takes its last vote in row order:
+    unlike the matrix readers' empty cells, a later pass read as unknown
+    erases an earlier vote, and the overwrite is logged in the matrix's
+    audit log.
     """
-    if pass_as not in ("unknown", "disapprove"):
+    if pass_as not in PASS_AS:
         raise ParameterError(f"pass_as must be 'unknown' or 'disapprove', got {pass_as!r}")
     passed = Attitude.DISAPPROVE if pass_as == "disapprove" else Attitude.UNKNOWN
     votes = {"1": Attitude.APPROVE, "-1": Attitude.DISAPPROVE, "0": passed}
@@ -340,56 +346,76 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
     return _counted(matrix, report)
 
 
-# -- result serialization --------------------------------------------------------------
+# -- results: one encoder ---------------------------------------------------------------
+
+FORMATS = ("json", "csv")
+_REPORT_KEYS = ("rows_read", "participants_created", "ideas_created", "cells_set", "cells_skipped", "passes",
+                "skipped", "value_mapping")
 
 
-def slate_to_dict(slate: Slate, violations=None) -> dict:
-    out = {
-        "ideas": sorted(slate.ideas),
-        "score": slate.score,
-        "rule": slate.kind.value,
-        "k": slate.target_k,
-    }
-    if violations is not None:
-        out["violations"] = [
-            {
-                "group": sorted(v.group),
-                "witness_ideas": sorted(v.witness_ideas),
-                "group_share": v.group_share,
-            }
-            for v in violations
-        ]
-    return out
+def _slate_fields(slate: Slate) -> dict:
+    return {"ideas": sorted(slate.ideas), "score": slate.score, "rule": slate.kind.value, "k": slate.target_k}
 
 
-def ranking_to_rows(ranking: Ranking) -> list[dict]:
-    return [
-        {"position": j + 1, "idea": int(p), "provenance": float(v)}
-        for j, (p, v) in enumerate(zip(ranking.order, ranking.provenance))
-    ]
+def result_text(value, format: str) -> str:
+    """The JSON or CSV text of a result; ``format`` is one of ``FORMATS``.
 
-
-def csv_table(value) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of the CSV form of a slate, ranking, plan or timeline."""
+    A matrix's CSV is the wide format, and its JSON lists the known cells
+    as ``[participant, idea, code]`` in row-major order. An audited slate
+    is the pair ``(slate, violations)``, the violations as ``jr_audit``
+    returns them: its JSON is the slate's plus the violations, its CSV one
+    row per violation. A timeline's JSON is its summary; an import report
+    has no CSV form. Any other value raises ``ParameterError``.
+    """
+    if format not in FORMATS:
+        raise ParameterError(f"unknown format {format!r}")
+    as_csv = format == "csv"
+    if isinstance(value, AttitudeMatrix):
+        if as_csv:
+            return _wide_text(value)
+        codes = value.codes()
+        rows, cols = np.nonzero(codes >= 0)  # row-major order
+        cells = np.column_stack([rows, cols, codes[rows, cols]]).tolist()
+        ideas = [idea.text for idea in value.ideas]
+        return json_text({"participants": value.n_participants, "ideas": ideas, "cells": cells})
     if isinstance(value, Slate):
-        return ["idea"], [[str(p)] for p in sorted(value.ideas)]
+        if as_csv:
+            return csv_text(["idea"], [[str(p)] for p in sorted(value.ideas)])
+        return json_text(_slate_fields(value))
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], Slate):
+        slate, violations = value
+        if as_csv:
+            rows = [[" ".join(map(str, sorted(v.group))), " ".join(map(str, sorted(v.witness_ideas))),
+                     fmt_float(v.group_share)] for v in violations]
+            return csv_text(["group", "witness_ideas", "group_share"], rows)
+        records = [{"group": sorted(v.group), "witness_ideas": sorted(v.witness_ideas), "group_share": v.group_share}
+                   for v in violations]
+        return json_text({**_slate_fields(slate), "violations": records})
     if isinstance(value, Ranking):
-        rows = [[str(j + 1), str(p), fmt_float(v)] for j, (p, v) in enumerate(zip(value.order, value.provenance))]
-        return ["position", "idea", "provenance"], rows
+        positions = list(enumerate(zip(value.order, value.provenance), start=1))
+        if as_csv:
+            rows = [[str(j), str(p), fmt_float(v)] for j, (p, v) in positions]
+            return csv_text(["position", "idea", "provenance"], rows)
+        return json_text([{"position": j, "idea": int(p), "provenance": float(v)} for j, (p, v) in positions])
     if isinstance(value, QueryPlan):
-        return ["participant", "idea"], [[str(i), str(p)] for i, p in value.pairs]
+        if as_csv:
+            return csv_text(["participant", "idea"], [[str(i), str(p)] for i, p in value.pairs])
+        pairs = [[int(i), int(p)] for i, p in value.pairs]
+        return json_text({"policy": value.policy_name, "seed": value.seed, "shortfall": value.shortfall,
+                          "pairs": pairs})
     if isinstance(value, MetricsTimeline):
-        return ["round", "metric", "value"], [[str(r), name, fmt_float(v)] for r, name, v in value.to_long_rows()]
-    raise ParameterError(f"cannot serialize values of type {type(value).__name__}")
+        if as_csv:
+            rows = [[str(r), name, fmt_float(v)] for r, name, v in value.to_long_rows()]
+            return csv_text(["round", "metric", "value"], rows)
+        return json_text(value.summary())
+    if isinstance(value, ImportReport) and not as_csv:
+        return json_text({key: getattr(value, key) for key in _REPORT_KEYS})
+    raise ParameterError(f"cannot serialize values of type {type(value).__name__} as {format}")
 
 
-def plan_to_dict(plan: QueryPlan) -> dict:
-    return {
-        "policy": plan.policy_name,
-        "seed": plan.seed,
-        "shortfall": plan.shortfall,
-        "pairs": [[int(i), int(p)] for i, p in plan.pairs],
-    }
+def export_results(value, path, format: str = "json") -> None:
+    """Write ``result_text(value, format)`` to ``path``, atomically."""
+    atomic_write_text(path, result_text(value, format))
 
 
 def _output_dir(out_dir) -> Path:
@@ -422,7 +448,7 @@ def write_landscape(scape: Landscape, out_dir) -> None:
     idea_names = [f"idea_{p}" for p in range(components.shape[1])]
     write_csv_rows(out / "components.csv", ["component"] + idea_names, component_rows)
 
-    write_json(
+    audit = json_text(
         {
             "embedding_objective": scape.embedding.objective,
             "clustering_objective": scape.clustering.objective,
@@ -434,45 +460,16 @@ def write_landscape(scape: Landscape, out_dir) -> None:
                 {"candidate": c.candidate, "members": list(c.members)}
                 for c in scape.audit.blocking_coalitions
             ],
-        },
-        out / "audit.json",
+        }
     )
+    atomic_write_text(out / "audit.json", audit)
 
 
 def write_timeline(timeline: MetricsTimeline, out_dir) -> None:
-    """timeline.csv, a plot-ready long CSV, and summary.json."""
+    """timeline.csv and summary.json, ``result_text``'s CSV and JSON, and
+    timeline_long.csv, a plot-ready CSV with the policy and seed on every row."""
     out = _output_dir(out_dir)
-    header, rows = csv_table(timeline)
-    write_csv_rows(out / "timeline.csv", header, rows)
-    long_rows = [[timeline.policy, str(timeline.seed), *row] for row in rows]
-    write_csv_rows(out / "timeline_long.csv", ["policy", "seed", *header], long_rows)
-    write_json(timeline.summary(), out / "summary.json")
-
-
-def export_results(value, path, format: str = "json") -> None:
-    """Serialize a result object; see the module docstring for formats."""
-    if format not in ("csv", "json"):
-        raise ParameterError(f"unknown format {format!r}")
-    if format == "json":
-        write_json(_json_payload(value), path)
-    elif isinstance(value, AttitudeMatrix):
-        export_wide_csv(value, path)
-    else:
-        write_csv_rows(path, *csv_table(value))
-
-
-def _json_payload(value):
-    if isinstance(value, AttitudeMatrix):
-        codes = value.codes()
-        rows, cols = np.nonzero(codes >= 0)  # row-major order
-        cells = np.column_stack([rows, cols, codes[rows, cols]]).tolist()
-        return {"participants": value.n_participants, "ideas": [idea.text for idea in value.ideas], "cells": cells}
-    if isinstance(value, Slate):
-        return slate_to_dict(value)
-    if isinstance(value, Ranking):
-        return ranking_to_rows(value)
-    if isinstance(value, QueryPlan):
-        return plan_to_dict(value)
-    if isinstance(value, MetricsTimeline):
-        return value.summary()
-    raise ParameterError(f"cannot serialize values of type {type(value).__name__}")
+    atomic_write_text(out / "timeline.csv", result_text(timeline, "csv"))
+    rows = [[timeline.policy, str(timeline.seed), str(r), name, fmt_float(v)] for r, name, v in timeline.to_long_rows()]
+    write_csv_rows(out / "timeline_long.csv", ["policy", "seed", "round", "metric", "value"], rows)
+    atomic_write_text(out / "summary.json", result_text(timeline, "json"))

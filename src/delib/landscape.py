@@ -101,8 +101,6 @@ def impute_mean(matrix: AttitudeMatrix) -> CompleteMatrix:
 
 
 def _as_points(data) -> np.ndarray:
-    if isinstance(data, Embedding):
-        return data.points
     if isinstance(data, CompleteMatrix):
         return data.values
     return np.asarray(data, dtype=float)

@@ -142,12 +142,16 @@ class AttitudeMatrix:
             self._exposure[p] += 1
 
     def note_exposure(self, p: IdeaId, count: int = 1) -> None:
-        """Count a serving of idea ``p`` that produced no answer."""
+        """Count ``count`` servings of idea ``p`` that produced no answer.
+
+        ``count`` is a non-negative integer that keeps the exposure within int64.
+        """
         self._check_writable()
         self._check_idea(p)
-        if count < 0:
-            raise IdentityError("exposure increments are non-negative")
-        self._exposure[p] += count
+        room = np.iinfo(np.int64).max - self._exposure[p]
+        if not isinstance(count, (int, np.integer)) or not 0 <= int(count) <= room:
+            raise IdentityError(f"exposure increments are non-negative integers within int64, got {count}")
+        self._exposure[p] += int(count)
 
     # -- reads ------------------------------------------------------------
 

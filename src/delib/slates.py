@@ -78,11 +78,12 @@ def harmonic_table(upto: int) -> np.ndarray:
 
 
 def _validated_ideas(matrix: AttitudeMatrix, ideas: Iterable[IdeaId]) -> list[int]:
-    ids = sorted(set(int(p) for p in ideas))
-    for p in ids:
-        if not 0 <= p < matrix.n_ideas:
+    """The distinct ids, sorted; an id that is not an integer naming an idea raises ``IdentityError``."""
+    ideas = set(ideas)
+    for p in ideas:
+        if not isinstance(p, (int, np.integer)) or not 0 <= p < matrix.n_ideas:
             raise IdentityError(f"unknown idea {p}")
-    return ids
+    return sorted(map(int, ideas))
 
 
 def score_from_approvals(approvals: np.ndarray, ideas: Iterable[int], kind: ScoringKind) -> float:

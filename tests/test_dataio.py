@@ -13,8 +13,10 @@ from delib import (
     ParameterError,
     PopulationConfig,
     ScoringKind,
+    Slate,
     elicitation_ranking,
     greedy_slate,
+    jr_audit,
     plan_uniform,
     proportional_ranking,
     run_loop,
@@ -27,6 +29,7 @@ from delib.dataio import (
     import_long_csv,
     import_polis_long,
     import_wide_csv,
+    result_text,
     write_timeline,
 )
 
@@ -216,6 +219,15 @@ def test_polis_last_write_wins(tmp_path):
     assert matrix.get(0, 0) is D
 
 
+def test_polis_pass_erases_an_earlier_vote_and_logs_it(tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_text("participant,comment,vote\n5,12,1\n5,12,0\n")
+    matrix, report = import_polis_long(path)
+    assert matrix.get(0, 0) is U
+    assert matrix.audit_log == ((0, 0, A, U),)
+    assert report.cells_set == 0
+
+
 def test_polis_pass_stays_unknown_and_is_counted(tmp_path):
     path = tmp_path / "votes.csv"
     path.write_text("participant,comment,vote\n1,2,0\n")
@@ -292,6 +304,43 @@ def test_export_ranking_json(tmp_path):
 def test_export_unknown_type_rejected(tmp_path):
     with pytest.raises(ParameterError):
         export_results(object(), tmp_path / "x.json")
+
+
+def test_audited_slate_export(tmp_path):
+    matrix = AttitudeMatrix.from_dense([[1, 0, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]])
+    slate = Slate(ideas=frozenset({1, 0}), target_k=2, score=2.0, kind=ScoringKind.COVERAGE)
+    violations = jr_audit(matrix, slate)
+    export_results((slate, violations), tmp_path / "audit.json", format="json")
+    payload = json.loads((tmp_path / "audit.json").read_text())
+    assert payload == {"ideas": [0, 1], "score": 2.0, "rule": "coverage", "k": 2,
+                       "violations": [{"group": [2, 3], "witness_ideas": [2], "group_share": 0.5}]}
+    assert result_text((slate, violations), "csv") == "group,witness_ideas,group_share\n2 3,2,0.5\n"
+    assert result_text((slate, []), "csv") == "group,witness_ideas,group_share\n"
+
+
+def test_import_report_has_a_json_form_only(tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_text("participant,comment,vote\n5,12,1\n5,13,x\n")
+    _, report = import_polis_long(path)
+    payload = json.loads(result_text(report, "json"))
+    assert payload["cells_skipped"] == 1
+    assert payload["skipped"] == [[3, 3, "x", "unmapped vote"]]
+    with pytest.raises(ParameterError):
+        result_text(report, "csv")
+
+
+@pytest.mark.parametrize("value", [object(), (1, 2), ("slate",), [1]])
+def test_result_text_rejects_values_it_has_no_form_for(value):
+    for fmt in ("json", "csv"):
+        with pytest.raises(ParameterError):
+            result_text(value, fmt)
+
+
+def test_result_text_rejects_unknown_formats():
+    slate = greedy_slate(AttitudeMatrix.from_dense([[1]]), 1, ScoringKind.HARMONIC)
+    for fmt in ("xml", "JSON", ""):
+        with pytest.raises(ParameterError):
+            result_text(slate, fmt)
 
 
 def tiny_timeline():

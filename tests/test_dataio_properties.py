@@ -6,8 +6,10 @@ wide writer gives duplicated texts. A wide export must read back without
 error, with the same cells and shape, and with every text that was unique;
 a long export keeps cells and shape. It writes no row for a matrix without
 cells, so that test draws at least one participant and one idea. Wide
-files whose participant labels repeat merge into one row per label, and
-the import report accounts for every cell of the result.
+files whose participant labels repeat merge into one row per label, long
+files whose (participant, idea) pairs repeat merge into one cell per pair,
+a later empty value never erases a known one, and the import report
+accounts for every cell of the result.
 """
 
 from __future__ import annotations
@@ -116,5 +118,37 @@ def test_wide_rows_with_repeated_labels_merge_last_known_value_wins(case):
     reference = AttitudeMatrix.from_dense(list(expected.values()), texts=[f"idea {p}" for p in range(m)])
     assert loaded.shape == (len(expected), m)
     assert np.array_equal(loaded.codes(), reference.codes())
+    assert report.rows_read == len(rows)
+    assert_report_accounts_for_every_cell(loaded, report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["0", "1", "a", " 0"]), st.sampled_from(["0", "1", "b"]), cell_values),
+        max_size=12,
+    )
+)
+def test_long_rows_with_repeated_pairs_merge_last_known_value_wins(rows):
+    participants: dict[str, int] = {}
+    ideas: dict[str, int] = {}
+    cells: dict[tuple[int, int], int] = {}
+    overwrites = 0
+    for participant, idea, value in rows:
+        cell = (participants.setdefault(participant, len(participants)), ideas.setdefault(idea, len(ideas)))
+        if value is not None:
+            overwrites += cells.get(cell, value) != value
+            cells[cell] = value
+    text = csv_text(["participant", "idea", "value"],
+                    [[participant, idea, "" if value is None else str(value)] for participant, idea, value in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        atomic_write_text(path, text)
+        loaded, report = import_long_csv(path)
+    reference = [[cells.get((i, p)) for p in range(len(ideas))] for i in range(len(participants))]
+    assert loaded.shape == (len(participants), len(ideas))
+    assert np.array_equal(loaded.codes(), AttitudeMatrix.from_dense(reference).codes())
+    assert [idea.text for idea in loaded.ideas] == [f"idea {label}" for label in ideas]
+    assert len(loaded.audit_log) == overwrites
     assert report.rows_read == len(rows)
     assert_report_accounts_for_every_cell(loaded, report)

@@ -115,6 +115,33 @@ def test_exposure_served_vs_volunteered():
     assert m.exposures.tolist() == [3]
 
 
+@pytest.mark.parametrize(
+    "count", [-1, 0.6, 2.0, float("nan"), float("inf"), 2**70, "1", np.float64(1.0), np.uint64(2**64 - 1)]
+)
+def test_note_exposure_rejects_counts_that_are_not_int64_increments(count):
+    m = fresh(1)
+    m.add_idea("x")
+    m.note_exposure(0, 2)
+    with pytest.raises(IdentityError):
+        m.note_exposure(0, count)
+    assert m.exposures.tolist() == [2]
+    assert m.total_exposure == 2
+
+
+def test_note_exposure_takes_numpy_integers_up_to_the_int64_limit():
+    m = fresh(1)
+    m.add_idea("x")
+    m.note_exposure(0, np.int64(3))
+    m.note_exposure(0, np.uint8(2))
+    m.note_exposure(0, 0)
+    assert m.exposures.tolist() == [5]
+    m.note_exposure(0, 2**63 - 1 - 5)
+    assert m.exposures.tolist() == [2**63 - 1]
+    with pytest.raises(IdentityError):
+        m.note_exposure(0, 1)
+    assert m.exposures.tolist() == [2**63 - 1]
+
+
 def approval_set(matrix, i):
     return set(np.flatnonzero(matrix.approvals()[i]).tolist())
 

@@ -3,11 +3,12 @@
 Each fingerprint is a SHA-256 over the canonical text of seeded outputs:
 for plans the policy, seed, shortfall and every pair in draw order; for
 ``run_loop`` every field of every round row, on a churning config (with
-harmonic and with coverage scoring, both on the greedy solver) and on
-acceptance criterion 8's full-budget config, where the exact slate solver
-runs. A change to a planner, a slate solver or the landscape that alters
-any plan or timeline for the same input and seed changes a hash and fails
-here. Print the current values with
+harmonic and with coverage scoring, both on the greedy solver, and with
+the landscape clustered in the full imputed space) and on acceptance
+criterion 8's full-budget config, where the exact slate solver runs. A
+change to a planner, a slate solver or the landscape that alters any plan
+or timeline for the same input and seed changes a hash and fails here.
+Print the current values with
 
     PYTHONPATH=src python tests/test_plan_fingerprints.py
 """
@@ -164,6 +165,15 @@ def coverage_loop_fingerprints() -> dict[str, str]:
     }
 
 
+def full_space_loop_fingerprints() -> dict[str, str]:
+    return {
+        f"loop-full-space/{policy}": _timeline_digest(
+            dataclasses.replace(_churn_config(policy), landscape_space="full")
+        )
+        for policy in ("uniform", "ranking", "uncertainty")
+    }
+
+
 def exact_loop_fingerprints() -> dict[str, str]:
     return {
         f"loop-exact/{policy}": _timeline_digest(_exact_config(policy))
@@ -210,6 +220,14 @@ COVERAGE_LOOP_FINGERPRINTS = {
     "loop-coverage/uncertainty": "37a346d4487aa3862c3dfa40c39bd367063d7c805d20f50158805b374fbcffce",
 }
 
+# k-means on the full imputed rows instead of the 2-D embedding: only
+# cluster_recovery can differ from LOOP_FINGERPRINTS
+FULL_SPACE_LOOP_FINGERPRINTS = {
+    "loop-full-space/uniform": "1885c1a2738644cfa0f3319f7bd3d138b3d80bc69a6a67f63a860b60492b3b61",
+    "loop-full-space/ranking": "0b00a75ccab82e2f3669c7916e1f9a97a57fbc69b60f3826852bb5b11e714819",
+    "loop-full-space/uncertainty": "c47f33a52754ed98b8a7d2c1ed61cacbaadbd552449fff45641209b9c901ee8d",
+}
+
 
 # with budget n * m every cell is known from the first round on, so the
 # three policies give the same timeline
@@ -242,12 +260,16 @@ def test_coverage_loop_fingerprints():
     assert coverage_loop_fingerprints() == COVERAGE_LOOP_FINGERPRINTS
 
 
+def test_full_space_loop_fingerprints():
+    assert full_space_loop_fingerprints() == FULL_SPACE_LOOP_FINGERPRINTS
+
+
 def test_exact_loop_fingerprints():
     assert exact_loop_fingerprints() == EXACT_LOOP_FINGERPRINTS
 
 
 if __name__ == "__main__":
     for table in (plan_fingerprints(), loop_fingerprints(), coverage_loop_fingerprints(),
-                  exact_loop_fingerprints()):
+                  full_space_loop_fingerprints(), exact_loop_fingerprints()):
         for key, value in table.items():
             print(f'    "{key}": "{value}",')

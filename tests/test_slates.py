@@ -112,6 +112,21 @@ def test_score_unknown_idea_rejected():
         slate_score(m, [4], H)
 
 
+@pytest.mark.parametrize("ideas", [[0.5], [1.0], [np.float64(0.0)], [0, 0.9], ["0"]])
+def test_idea_ids_that_are_not_integers_are_rejected(ideas):
+    m = from_approvals([{0}, {0, 1}], 2)
+    with pytest.raises(IdentityError, match="unknown idea"):
+        slate_score(m, ideas, H)
+    slate = Slate(ideas=frozenset(ideas), target_k=1, score=0.0, kind=H)
+    with pytest.raises(IdentityError, match="unknown idea"):
+        jr_audit(m, slate)
+
+
+def test_numpy_integer_idea_ids_are_accepted():
+    m = from_approvals([{0}, {0, 1}], 2)
+    assert slate_score(m, [np.int64(0), np.uint8(1)], H) == slate_score(m, [0, 1], H)
+
+
 def test_score_matches_oracle_random():
     rng = np.random.default_rng(1)
     for _ in range(60):
