@@ -14,8 +14,9 @@ A separate reader ingests Polis-style long exports (participant, comment,
 vote with votes 1 / -1 / 0); a vote of 0 (a pass) maps to unknown by
 default since the engine's attitude domain is ternary, and the mapping is
 configurable and always reported. All three readers stream rows from one
-UTF-8 CSV reader, and a file that cannot be opened, decoded or parsed
-raises ``FormatError``.
+UTF-8 CSV reader and write their cells to the matrix in batches of about
+65,536, so a reader's temporaries stay that size. A file that cannot be
+opened, decoded or parsed raises ``FormatError``.
 
 Results have one encoder, ``result_text(value, format)``: it gives the JSON
 or CSV text of a matrix, slate, audited slate, ranking, query plan,
@@ -30,7 +31,9 @@ import csv
 import json
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -118,9 +121,11 @@ def write_csv_rows(path, header: list[str], rows) -> None:
 # -- matrix files: one cell codec, one reader ----------------------------------------
 
 _CELL_TEXT = np.array(["", "0", "1"], dtype=object)  # indexed by attitude code + 1
-_CELL_ATTITUDE = {text: Attitude(code - 1) for code, text in enumerate(_CELL_TEXT)}
+_KEEP = -2  # a cell code that is read but not written: the cell stays as it was
+_CELL_CODE = {"": _KEEP, "0": 0, "1": 1}
 _CELL_MAPPING = "1=approve, 0=disapprove, empty=unknown"
 _FIELD_LIMIT = 131_072  # the csv module's default field_size_limit, which the reader keeps
+_CHUNK_CELLS = 65_536  # cells a reader holds before writing them; larger chunks raised peak RSS
 
 
 def _cell_texts(matrix: AttitudeMatrix) -> list[list[str]]:
@@ -150,6 +155,35 @@ def _csv_rows(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
+class _Cells:
+    """Cells read for ``matrix``, written in input order every ``_CHUNK_CELLS`` cells and by ``flush``."""
+
+    def __init__(self, matrix: AttitudeMatrix) -> None:
+        self.matrix = matrix
+        self._rows, self._cols, self._codes = array("q"), array("q"), array("b")
+
+    def add(self, i: int, p: int, code: int) -> None:
+        self._rows.append(i)
+        self._cols.append(p)
+        self._codes.append(code)
+        if len(self._codes) >= _CHUNK_CELLS:
+            self.flush()
+
+    def add_row(self, i: int, cols: array, codes: list[int]) -> None:
+        """Participant ``i``'s ``codes`` for ideas ``cols``."""
+        self._rows.extend(array("q", (i,)) * len(codes))
+        self._cols.extend(cols)
+        self._codes.fromlist(codes)
+        if len(self._codes) >= _CHUNK_CELLS:
+            self.flush()
+
+    def flush(self) -> None:
+        codes = np.frombuffer(self._codes, dtype=np.int8)
+        rows, cols = (np.frombuffer(a, dtype=np.int64)[codes != _KEEP] for a in (self._rows, self._cols))
+        self.matrix._write_cells(rows, cols, codes[codes != _KEEP])
+        self._rows, self._cols, self._codes = array("q"), array("q"), array("b")
+
+
 class _Labels(dict):
     """Ids by label: a label gets an id, from ``create(label)``, the first time it appears."""
 
@@ -162,12 +196,14 @@ class _Labels(dict):
         return index
 
 
-def _counted(matrix: AttitudeMatrix, report: ImportReport) -> tuple[AttitudeMatrix, ImportReport]:
-    """Fill in the counts every reader reports from the finished matrix.
+def _counted(cells: _Cells, report: ImportReport) -> tuple[AttitudeMatrix, ImportReport]:
+    """Write the last cells, then fill in the counts every reader reports from the finished matrix.
 
     Every participant and idea was created by its label's first
     appearance, and ``cells_set`` is the number of known cells.
     """
+    cells.flush()
+    matrix = cells.matrix
     report.participants_created = matrix.n_participants
     report.ideas_created = matrix.n_ideas
     report.cells_set = matrix.n_known
@@ -224,19 +260,19 @@ def import_wide_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
     m = len(idea_texts)
     participants = _Labels(lambda _: matrix.add_participant())
     report = ImportReport(value_mapping=_CELL_MAPPING)
+    cells, columns = _Cells(matrix), array("q", range(m))
     for line_no, row in rows:
         report.rows_read += 1
         i = participants[row[0]]
-        for p, cell in enumerate(row[1 : m + 1]):
-            attitude = _CELL_ATTITUDE.get(cell.strip())
-            if attitude is None:
-                report.skipped.append((line_no, p + 2, cell.strip(), "unmapped value"))
-            elif attitude is not Attitude.UNKNOWN:
-                matrix.record_attitude(i, p, attitude)
+        texts = list(map(str.strip, row[1 : m + 1]))
+        if not _CELL_CODE.keys() >= set(texts):
+            report.skipped.extend((line_no, p + 2, text, "unmapped value") for p, text in enumerate(texts)
+                                  if text not in _CELL_CODE)
+        cells.add_row(i, columns[: len(texts)], list(map(_CELL_CODE.get, texts, repeat(_KEEP))))
         report.skipped.extend(
             (line_no, column, cell, "no such idea column") for column, cell in enumerate(row[m + 1 :], start=m + 2)
         )
-    return _counted(matrix, report)
+    return _counted(cells, report)
 
 
 # -- matrix: long format ----------------------------------------------------------
@@ -265,6 +301,7 @@ def import_long_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
     participants = _Labels(lambda _: matrix.add_participant())
     ideas = _Labels(lambda label: matrix.add_idea(f"idea {label}"))
     report = ImportReport(value_mapping=_CELL_MAPPING)
+    cells = _Cells(matrix)
     for line_no, row in rows:
         report.rows_read += 1
         if len(row) < 2:
@@ -272,12 +309,12 @@ def import_long_csv(path) -> tuple[AttitudeMatrix, ImportReport]:
             continue
         i, p = participants[row[0]], ideas[row[1]]
         value = row[2].strip() if len(row) > 2 else ""
-        attitude = _CELL_ATTITUDE.get(value)
-        if attitude is None:
+        code = _CELL_CODE.get(value)
+        if code is None:
             report.skipped.append((line_no, 3, value, "unmapped value"))
-        elif attitude is not Attitude.UNKNOWN:
-            matrix.record_attitude(i, p, attitude)
-    return _counted(matrix, report)
+        else:
+            cells.add(i, p, code)
+    return _counted(cells, report)
 
 
 # -- Polis-style long export --------------------------------------------------------
@@ -321,8 +358,7 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
     """
     if pass_as not in PASS_AS:
         raise ParameterError(f"pass_as must be 'unknown' or 'disapprove', got {pass_as!r}")
-    passed = Attitude.DISAPPROVE if pass_as == "disapprove" else Attitude.UNKNOWN
-    votes = {"1": Attitude.APPROVE, "-1": Attitude.DISAPPROVE, "0": passed}
+    votes = {"1": Attitude.APPROVE.value, "-1": Attitude.DISAPPROVE.value, "0": Attitude[pass_as.upper()].value}
     rows = _csv_rows(path)
     _, header = next(rows)
     col_i, col_p, col_v = _polis_columns([cell.strip().lower() for cell in header])
@@ -331,6 +367,7 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
     participants = _Labels(lambda _: matrix.add_participant())
     ideas = _Labels(lambda label: matrix.add_idea(f"comment {label}"))
     report = ImportReport(value_mapping=f"1=approve, -1=disapprove, 0=pass->{pass_as}")
+    cells = _Cells(matrix)
     for line_no, row in rows:
         report.rows_read += 1
         if len(row) <= last:
@@ -342,8 +379,8 @@ def import_polis_long(path, pass_as: str = "unknown") -> tuple[AttitudeMatrix, I
             continue
         if vote == "0":
             report.passes += 1
-        matrix.record_attitude(i, p, votes[vote])
-    return _counted(matrix, report)
+        cells.add(i, p, votes[vote])
+    return _counted(cells, report)
 
 
 # -- results: one encoder ---------------------------------------------------------------

@@ -348,8 +348,8 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
         plan = plan_for_policy(config.routing_policy, matrix, config.query_budget_per_round, config.weights,
                                _derive_seed(config.seed, _TAG_PLAN, round_index))
         answers = sample_attitudes(model, plan.pairs, round_index)
-        for (i, p), attitude in zip(plan.pairs, answers):
-            matrix.record_attitude(i, p, attitude, served=True)
+        cells = np.array(plan.pairs, dtype=np.intp).reshape(-1, 2)
+        matrix._write_cells(cells[:, 0], cells[:, 1], [a.value for a in answers], served=True)
 
         rows.append(
             _sense_making(config, matrix.snapshot(), model, round_index, len(plan.pairs), notes)

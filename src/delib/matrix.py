@@ -7,6 +7,12 @@ disapprove, unknown) and live in one dense int8 array of codes, indexed by
 written reads as unknown. Every read, count and numeric view derives from
 that array.
 
+The array is the used region of a buffer whose rows or columns double when
+full; ``codes()`` and snapshots copy that region alone. ``record_attitude``
+writes one cell and specifies the bulk write ``_write_cells`` used by the
+readers, ``from_dense`` and the loop: it checks a whole batch before writing
+any cell, then acts as one ``record_attitude`` per cell in input order.
+
 All mutation is expected to come from a single writer. Readers that need a
 stable view take a :meth:`AttitudeMatrix.snapshot`, which is frozen and can
 be handed to other threads.
@@ -23,6 +29,8 @@ from .errors import FrozenMatrixError, IdentityError, UndefinedRateError
 
 ParticipantId = int
 IdeaId = int
+
+_EXPOSURE_MAX = np.iinfo(np.int64).max
 
 
 class Attitude(Enum):
@@ -58,7 +66,8 @@ class AttitudeMatrix:
     """
 
     def __init__(self) -> None:
-        self._codes = np.empty((0, 0), dtype=np.int8)
+        self._buffer = np.empty((0, 0), dtype=np.int8)
+        self._codes = self._buffer  # the used region: self._buffer[:n, :m]
         self._ideas: list[Idea] = []
         self._n = 0
         self._active: set[int] = set()
@@ -82,13 +91,19 @@ class AttitudeMatrix:
 
     # -- growth and churn -------------------------------------------------
 
+    def _resize(self, n: int, m: int) -> None:
+        """Make the used region n x m, doubling the buffer along each axis it outgrows."""
+        shape = tuple(have if need <= have else max(need, 2 * have) for need, have in zip((n, m), self._buffer.shape))
+        if shape != self._buffer.shape:
+            self._buffer = np.full(shape, -1, dtype=np.int8)
+            self._buffer[: self._n, : self.n_ideas] = self._codes
+        self._codes = self._buffer[:n, :m]
+
     def add_participant(self) -> ParticipantId:
         """Register a new participant; returns its dense id."""
         self._check_writable()
         i = self._n
-        grown = np.full((self._n + 1, self.n_ideas), -1, dtype=np.int8)
-        grown[: self._n] = self._codes
-        self._codes = grown
+        self._resize(i + 1, self.n_ideas)
         self._n += 1
         self._active.add(i)
         return i
@@ -103,9 +118,7 @@ class AttitudeMatrix:
         if author is not None:
             self._check_participant(author)
         p = len(self._ideas)
-        grown = np.full((self._n, p + 1), -1, dtype=np.int8)
-        grown[:, :p] = self._codes
-        self._codes = grown
+        self._resize(self._n, p + 1)
         self._ideas.append(Idea(id=p, text=text, author=author))
         self._exposure.append(0)
         return p
@@ -126,7 +139,8 @@ class AttitudeMatrix:
         Exposure of idea ``p`` goes up when the record answers a served
         query, and also whenever an unknown cell becomes known through any
         other path, so exposure never falls below the number of known
-        entries in the column.
+        entries in the column. A write that would take the exposure past
+        int64 raises ``IdentityError`` and changes nothing.
         """
         self._check_writable()
         self._check_idea(p)
@@ -135,11 +149,46 @@ class AttitudeMatrix:
         if not isinstance(attitude, Attitude):
             raise IdentityError(f"not an attitude: {attitude!r}")
         old = self._codes.item(i, p)
+        exposed = served or (old < 0 and attitude is not Attitude.UNKNOWN)
+        if exposed and self._exposure[p] == _EXPOSURE_MAX:
+            raise IdentityError(f"idea {p}: exposure would exceed int64")
         self._codes[i, p] = attitude.value
         if old >= 0 and attitude.value != old:
             self._audit_log.append((i, p, Attitude(old), attitude))
-        if served or (old < 0 and attitude is not Attitude.UNKNOWN):
+        if exposed:
             self._exposure[p] += 1
+
+    def _write_cells(self, rows, cols, codes, *, served: bool = False) -> None:
+        """``record_attitude(rows[j], cols[j], codes[j])`` for each j in order, but nothing if any would raise."""
+        self._check_writable()
+        rows, cols, codes = map(np.asarray, (rows, cols, codes))
+        if not rows.size == cols.size == codes.size:
+            raise IdentityError("rows, cols and codes differ in length")
+        if not rows.size:  # an empty plan, most rounds of a full-budget loop
+            return
+        checks = (("unknown idea", cols, np.isin(cols, np.arange(self.n_ideas))),
+                  ("unknown or inactive participant", rows, np.isin(rows, list(self._active))),
+                  ("not an attitude code:", codes, np.isin(codes, (-1, 0, 1))))
+        for what, values, valid in checks:
+            if not valid.all():
+                raise IdentityError(f"{what} {values[~valid][0]}")
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+        codes = codes.astype(np.int8, copy=False)
+        key = rows * self.n_ideas + cols
+        order = np.argsort(key, kind="stable")  # by cell, input order within a cell
+        first, last = np.diff(key[order], prepend=-1) != 0, np.diff(key[order], append=-1) != 0
+        r, c, written = rows[order], cols[order], codes[order]
+        old = np.empty_like(codes)  # a cell's first write sees the matrix, a later one the write before
+        old[order] = np.where(first, self._codes[r, c], np.roll(written, 1))
+        exposed = np.ones(codes.size, dtype=bool) if served else (old < 0) & (codes >= 0)
+        added = np.bincount(cols[exposed], minlength=self.n_ideas)
+        over = np.flatnonzero(added > _EXPOSURE_MAX - self.exposures)
+        if over.size:
+            raise IdentityError(f"idea {over[0]}: exposure would exceed int64")
+        self._codes[r[last], c[last]] = written[last]
+        for j in np.flatnonzero((old >= 0) & (codes != old)).tolist():
+            self._audit_log.append((int(rows[j]), int(cols[j]), Attitude(int(old[j])), Attitude(int(codes[j]))))
+        self._exposure = (self.exposures + added).tolist()
 
     def note_exposure(self, p: IdeaId, count: int = 1) -> None:
         """Count ``count`` servings of idea ``p`` that produced no answer.
@@ -148,7 +197,7 @@ class AttitudeMatrix:
         """
         self._check_writable()
         self._check_idea(p)
-        room = np.iinfo(np.int64).max - self._exposure[p]
+        room = _EXPOSURE_MAX - self._exposure[p]
         if not isinstance(count, (int, np.integer)) or not 0 <= int(count) <= room:
             raise IdentityError(f"exposure increments are non-negative integers within int64, got {count}")
         self._exposure[p] += int(count)
@@ -179,9 +228,9 @@ class AttitudeMatrix:
         return self.n_known / total
 
     def snapshot(self) -> "AttitudeMatrix":
-        """Frozen copy; later mutations of the live matrix do not affect it."""
+        """Frozen copy of the used region; later mutations of the live matrix do not affect it."""
         snap = AttitudeMatrix()
-        snap._codes = self._codes.copy()
+        snap._buffer = snap._codes = self._codes.copy()
         snap._ideas = list(self._ideas)
         snap._n = self._n
         snap._active = set(self._active)
@@ -262,16 +311,15 @@ class AttitudeMatrix:
             texts = [f"idea {j}" for j in range(m)]
         if len(texts) != m:
             raise IdentityError("texts length does not match the number of columns")
-        for text in texts:  # before any row exists, so growing copies nothing
+        if any(len(row) != m for row in rows):
+            raise IdentityError("ragged rows")
+        for text in texts:
             matrix.add_idea(text)
-        for row in rows:
-            if len(row) != m:
-                raise IdentityError("ragged rows")
-            i = matrix.add_participant()
-            for p, value in enumerate(row):
-                att = value if isinstance(value, Attitude) else Attitude.from_numeric(value)
-                if att is not Attitude.UNKNOWN:
-                    matrix.record_attitude(i, p, att)
+        for _ in rows:
+            matrix.add_participant()
+        codes = np.array([[(v if isinstance(v, Attitude) else Attitude.from_numeric(v)).value for v in row]
+                          for row in rows], dtype=np.int8).reshape(len(rows), m)
+        matrix._write_cells(*np.nonzero(codes >= 0), codes[codes >= 0])
         return matrix
 
     # -- comparison ---------------------------------------------------------

@@ -77,18 +77,18 @@ def harmonic_table(upto: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, upto + 1))])
 
 
-def _validated_ideas(matrix: AttitudeMatrix, ideas: Iterable[IdeaId]) -> list[int]:
-    """The distinct ids, sorted; an id that is not an integer naming an idea raises ``IdentityError``."""
+def _validated_ideas(m: int, ideas: Iterable[IdeaId]) -> list[int]:
+    """The distinct ids, sorted; an id that is not an integer in ``range(m)`` raises ``IdentityError``."""
     ideas = set(ideas)
     for p in ideas:
-        if not isinstance(p, (int, np.integer)) or not 0 <= p < matrix.n_ideas:
+        if not isinstance(p, (int, np.integer)) or not 0 <= p < m:
             raise IdentityError(f"unknown idea {p}")
     return sorted(map(int, ideas))
 
 
 def score_from_approvals(approvals: np.ndarray, ideas: Iterable[int], kind: ScoringKind) -> float:
-    """Score a slate against a dense boolean approval matrix."""
-    ids = sorted(set(int(p) for p in ideas))
+    """Score a slate against a dense boolean approval matrix; ids must name its columns."""
+    ids = _validated_ideas(approvals.shape[1], ideas)
     if not ids:
         return 0.0
     counts = approvals[:, ids].sum(axis=1)
@@ -99,8 +99,7 @@ def score_from_approvals(approvals: np.ndarray, ideas: Iterable[int], kind: Scor
 
 def slate_score(matrix: AttitudeMatrix, ideas: Iterable[IdeaId], kind: ScoringKind) -> float:
     """Score the idea set under the given rule. Unknown never counts."""
-    ids = _validated_ideas(matrix, ideas)
-    return score_from_approvals(matrix.approvals(), ids, kind)
+    return score_from_approvals(matrix.approvals(), ideas, kind)
 
 
 # -- greedy solver ---------------------------------------------------------
@@ -353,7 +352,7 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1) -> list[JrVio
         raise ParameterError("slate target_k must be at least 1")
     if level < 1:
         raise ParameterError("audit level must be at least 1")
-    slate_ids = _validated_ideas(matrix, slate.ideas)
+    slate_ids = _validated_ideas(matrix.n_ideas, slate.ideas)
     approvals = matrix.approvals()
     n, m = approvals.shape
     if n == 0 or m == 0:

@@ -21,6 +21,7 @@ from delib import (
     proportional_ranking,
     run_loop,
 )
+from delib import dataio
 from delib.dataio import (
     export_long_csv,
     export_results,
@@ -263,6 +264,37 @@ def test_polis_bad_pass_mapping(tmp_path):
 
 
 # -- result export ----------------------------------------------------------------------
+
+
+# a pair voted then passed, and a label repeated, across chunk boundaries at every size tried
+CHUNKED_FILES = {
+    "polis": (import_polis_long, "participant,comment,vote\n7,c1,1\n7,c1,0\n8,c2,-1\n8,c1,x\n9\n7,c1,1\n"
+                                 "8,c2,0\n9,c3,1\n7,c3,-1\n8,c2,1\n"),
+    "wide": (import_wide_csv, "p,a,b,c\nx,1,1,0\ny,0,1\nx,0,?,1,extra\nz,,,\nx,,1,0\ny,1,0,1\n"),
+    "long": (import_long_csv, "participant,idea,value\na,x,1\na,x,\nb,y,0\na,x,0\nb\nc,y,2\nb,y,1\na,y,1\n"),
+}
+
+
+def read_chunked_files(tmp_path):
+    results = {}
+    for name, (reader, text) in CHUNKED_FILES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        for kwargs in ({"pass_as": "unknown"}, {"pass_as": "disapprove"}) if name == "polis" else ({},):
+            matrix, report = reader(path, **kwargs)
+            results[name, *kwargs.values()] = (matrix.codes().tolist(), [idea.text for idea in matrix.ideas],
+                                                matrix.audit_log, matrix.exposures.tolist(), report)
+    return results
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_readers_write_the_same_matrix_in_any_chunk_size(tmp_path, monkeypatch, chunk):
+    expected = read_chunked_files(tmp_path)
+    assert all(result[2] for result in expected.values())  # every file overwrites a known cell
+    # the unmapped "?" leaves x's known cell b as it was, so the log holds no erase
+    assert expected["wide",][2] == ((0, 0, A, D), (0, 2, D, A), (0, 2, A, D), (1, 0, D, A), (1, 1, A, D))
+    monkeypatch.setattr(dataio, "_CHUNK_CELLS", chunk)
+    assert read_chunked_files(tmp_path) == expected
 
 
 def test_fmt_float_nine_significant_digits():

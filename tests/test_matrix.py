@@ -142,6 +142,29 @@ def test_note_exposure_takes_numpy_integers_up_to_the_int64_limit():
     assert m.exposures.tolist() == [2**63 - 1]
 
 
+def test_writes_refuse_to_push_an_exposure_past_int64():
+    m = AttitudeMatrix.from_dense([[None, None], [None, None]])
+    m.note_exposure(0, 2**63 - 1)
+    m.note_exposure(1, 2**63 - 2)  # room for one more
+    for write in (
+        lambda: m.record_attitude(0, 0, A, served=True),
+        lambda: m.record_attitude(0, 0, D),  # unknown becomes known
+        lambda: m._write_cells([0, 1], [1, 1], [1, 0], served=False),
+        lambda: m._write_cells([0, 0], [1, 1], [-1, -1], served=True),
+        lambda: m._write_cells([1, 0], [1, 0], [1, -1], served=True),
+    ):
+        with pytest.raises(IdentityError, match="exposure"):
+            write()
+        assert m.codes().tolist() == [[-1, -1], [-1, -1]]
+        assert m.exposures.tolist() == [2**63 - 1, 2**63 - 2]
+    m.record_attitude(0, 0, U)  # not served and still unknown: no exposure
+    m._write_cells([0, 0], [1, 1], [1, -1])  # one cell made known, then unknown again
+    m.record_attitude(1, 1, U)
+    assert m.exposures.tolist() == [2**63 - 1, 2**63 - 1]
+    assert m.total_exposure == 2**64 - 2
+    assert m.audit_log == ((0, 1, A, U),)
+
+
 def approval_set(matrix, i):
     return set(np.flatnonzero(matrix.approvals()[i]).tolist())
 

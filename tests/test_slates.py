@@ -110,6 +110,9 @@ def test_score_unknown_idea_rejected():
     m = from_approvals([{0}], 1)
     with pytest.raises(IdentityError):
         slate_score(m, [4], H)
+    for ideas in ([4], [-1], [0, 1]):
+        with pytest.raises(IdentityError, match="unknown idea"):
+            score_from_approvals(m.approvals(), ideas, H)
 
 
 @pytest.mark.parametrize("ideas", [[0.5], [1.0], [np.float64(0.0)], [0, 0.9], ["0"]])
@@ -117,6 +120,8 @@ def test_idea_ids_that_are_not_integers_are_rejected(ideas):
     m = from_approvals([{0}, {0, 1}], 2)
     with pytest.raises(IdentityError, match="unknown idea"):
         slate_score(m, ideas, H)
+    with pytest.raises(IdentityError, match="unknown idea"):
+        score_from_approvals(m.approvals(), ideas, H)
     slate = Slate(ideas=frozenset(ideas), target_k=1, score=0.0, kind=H)
     with pytest.raises(IdentityError, match="unknown idea"):
         jr_audit(m, slate)
