@@ -71,7 +71,6 @@ from .slates import (
     Slate,
     exact_slate,
     greedy_slate,
-    imputed_approvals,
     jr_audit,
     slate_score,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "greedy_slate",
     "ground_truth",
     "impute_mean",
-    "imputed_approvals",
     "jr_audit",
     "kmeans",
     "match_accuracy",

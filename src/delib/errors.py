@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seeded generator that raises one."""
+
+import numpy as np
 
 
 class DelibError(Exception):
@@ -40,3 +42,11 @@ class FormatError(DelibError):
 
 class FrozenMatrixError(DelibError):
     """A mutation was attempted on a matrix snapshot."""
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it refuses, such as a negative one, raises ``ParameterError``."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _seeded_rng
 from .matrix import AttitudeMatrix
 
 KMEANS_MAX_ITERATIONS = 500
@@ -206,7 +206,7 @@ def kmeans(data, k: int, seed: int) -> Clustering:
         raise ParameterError("k must be at least 1")
     if k > n:
         raise ParameterError(f"cannot form {k} clusters from {n} points")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     centroids = _kmeans_pp_seeds(points, k, rng)
     assignment = np.full(n, -1, dtype=int)
     history: list[float] = []

@@ -25,11 +25,11 @@ from .matrix import AttitudeMatrix
 from .population import (
     PopulationConfig,
     PopulationModel,
+    _sampled_approvals,
     config_to_dict,
     generate_population,
     ground_truth,
     parse_config,
-    sample_attitudes,
     step_churn,
 )
 from .rankings import elicitation_ranking
@@ -347,9 +347,9 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
         # planners only read, so the live matrix serves
         plan = plan_for_policy(config.routing_policy, matrix, config.query_budget_per_round, config.weights,
                                _derive_seed(config.seed, _TAG_PLAN, round_index))
-        answers = sample_attitudes(model, plan.pairs, round_index)
+        approves = _sampled_approvals(model, plan.pairs, round_index)
         cells = np.array(plan.pairs, dtype=np.intp).reshape(-1, 2)
-        matrix._write_cells(cells[:, 0], cells[:, 1], [a.value for a in answers], served=True)
+        matrix._write_cells(cells[:, 0], cells[:, 1], approves.view(np.int8), served=True)
 
         rows.append(
             _sense_making(config, matrix.snapshot(), model, round_index, len(plan.pairs), notes)

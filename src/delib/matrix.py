@@ -33,6 +33,14 @@ IdeaId = int
 _EXPOSURE_MAX = np.iinfo(np.int64).max
 
 
+def _whole_in_range(values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Elementwise: is the value a whole number in ``range(start, stop)``?"""
+    if values.dtype.kind not in "biuf":  # strings and objects, compared one by one
+        return np.isin(values, np.arange(start, stop))
+    inside = (start <= values) & (values < stop)
+    return inside & (np.floor(values) == values) if values.dtype.kind == "f" else inside
+
+
 class Attitude(Enum):
     """Ternary stance of a participant toward an idea."""
 
@@ -166,9 +174,13 @@ class AttitudeMatrix:
             raise IdentityError("rows, cols and codes differ in length")
         if not rows.size:  # an empty plan, most rounds of a full-budget loop
             return
-        checks = (("unknown idea", cols, np.isin(cols, np.arange(self.n_ideas))),
-                  ("unknown or inactive participant", rows, np.isin(rows, list(self._active))),
-                  ("not an attitude code:", codes, np.isin(codes, (-1, 0, 1))))
+        active = np.zeros(self._n, dtype=bool)
+        active[list(self._active)] = True
+        known_rows = _whole_in_range(rows, 0, self._n)
+        known_rows[known_rows] = active[rows[known_rows].astype(np.intp)]
+        checks = (("unknown idea", cols, _whole_in_range(cols, 0, self.n_ideas)),
+                  ("unknown or inactive participant", rows, known_rows),
+                  ("not an attitude code:", codes, _whole_in_range(codes, -1, 2)))
         for what, values, valid in checks:
             if not valid.all():
                 raise IdentityError(f"{what} {values[~valid][0]}")

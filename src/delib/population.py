@@ -292,6 +292,25 @@ def generate_population(config: PopulationConfig, seed: int | None = None) -> Po
     return model
 
 
+def _sampled_approvals(model: PopulationModel, pairs, round_seed: int) -> np.ndarray:
+    """The booleans behind :func:`sample_attitudes`: True where the pair approves."""
+    pairs = list(pairs)
+    if not pairs:
+        return np.zeros(0, dtype=bool)
+    index = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+    unknown = (index < 0) | (index >= (model.n_participants, model.n_ideas))
+    if unknown.any():
+        row, column = np.argwhere(unknown)[0]
+        raise IdentityError(f"unknown {('participant', 'idea')[column]} {index[row, column]}")
+    participants = np.array([model.participant_positions[i] for i, _ in pairs])
+    ideas = np.array([model.idea_positions[p] for _, p in pairs])
+    distances = np.sqrt(((participants - ideas) ** 2).sum(axis=1))
+    if model.config.noise_sigma > 0:
+        rng = _rng(model.seed, _TAG_RESPONSE, round_seed)
+        distances = distances + rng.normal(0.0, model.config.noise_sigma, size=len(pairs))
+    return distances < model.config.approval_radius
+
+
 def sample_attitudes(model: PopulationModel, pairs, round_seed: int) -> list[Attitude]:
     """Noisy approval responses to one round's query plan, in plan order.
 
@@ -304,21 +323,8 @@ def sample_attitudes(model: PopulationModel, pairs, round_seed: int) -> list[Att
     answer equals the ground truth bit for bit. A pair naming a participant
     or idea the model does not have raises :class:`IdentityError`.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    index = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
-    unknown = (index < 0) | (index >= (model.n_participants, model.n_ideas))
-    if unknown.any():
-        row, column = np.argwhere(unknown)[0]
-        raise IdentityError(f"unknown {('participant', 'idea')[column]} {index[row, column]}")
-    participants = np.array([model.participant_positions[i] for i, _ in pairs])
-    ideas = np.array([model.idea_positions[p] for _, p in pairs])
-    distances = np.sqrt(((participants - ideas) ** 2).sum(axis=1))
-    if model.config.noise_sigma > 0:
-        rng = _rng(model.seed, _TAG_RESPONSE, round_seed)
-        distances = distances + rng.normal(0.0, model.config.noise_sigma, size=len(pairs))
-    return [Attitude.APPROVE if d < model.config.approval_radius else Attitude.DISAPPROVE for d in distances]
+    approves = _sampled_approvals(model, pairs, round_seed).tolist()
+    return [Attitude.APPROVE if a else Attitude.DISAPPROVE for a in approves]
 
 
 def step_churn(model: PopulationModel, round_index: int, seed: int) -> tuple[set[int], set[int]]:

@@ -33,7 +33,7 @@ class Ranking:
 
 
 def proportional_ranking(matrix: AttitudeMatrix) -> Ranking:
-    """Rank all ideas by sequential harmonic greedy, lowest id on ties.
+    """Rank all ideas by sequential harmonic greedy, with the float tie rule of :func:`greedy_order`.
 
     With no ideas the ranking is empty.
     """

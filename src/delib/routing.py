@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _seeded_rng
 from .matrix import AttitudeMatrix, IdeaId, ParticipantId
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -133,7 +133,7 @@ def plan_uniform(matrix: AttitudeMatrix, active, budget: int, seed: int) -> Quer
         raise ParameterError("budget must be non-negative")
     rows = np.asarray(_active_set(matrix, active), dtype=np.intp)
     pool_rows, pool_ideas = np.nonzero(~matrix.known_mask()[rows])
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     order = rng.permutation(len(pool_rows))
     take = min(budget, len(pool_rows))
     chosen = order[:take]
@@ -170,7 +170,7 @@ def plan_ranking_proportional(matrix: AttitudeMatrix, ranking, active, budget: i
 
     open_ideas = np.flatnonzero([bool(candidates) for candidates in available])
     open_weights = weights[open_ideas]
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     pairs: list[tuple[int, int]] = []
     cdf = None
     while len(pairs) < budget and open_ideas.size:
@@ -224,7 +224,7 @@ def plan_uncertainty(matrix: AttitudeMatrix, active, budget: int,
     effective = np.where([bool(candidates) for candidates in available], widths, -np.inf)
     pending = np.zeros(m)
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     pairs: list[tuple[int, int]] = []
     while len(pairs) < budget and m:
         best = int(effective.argmax())

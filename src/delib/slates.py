@@ -7,15 +7,14 @@ idea in it. Both are monotone submodular set functions, so greedy selection
 carries the usual (1 - 1/e) guarantee, and an exhaustive solver is provided
 for instances small enough to enumerate.
 
-The exhaustive solver returns what a plain float enumeration returns: the
-first subset, in lexicographic order, of maximal float score. It gets
-there by scoring every subset in integers on the distinct rows and
-float-scoring only the subsets tied at the integer maximum, which a
-rounding bound, checked at run time, shows to hold the float winner.
+The exhaustive solver decides on exact scores: it returns the first
+subset, in lexicographic order, of maximal exact (rational) score, found
+by one pass that scores every subset in integers on the distinct rows.
+The greedy solver decides each step on float gains, so ideas whose exact
+gains tie can be told apart by rounding.
 
 Unknown attitudes contribute nothing to either score: only explicit
-approvals count. Callers who prefer to fill the gaps first can run
-:func:`imputed_approvals` as a pre-pass.
+approvals count.
 """
 
 from __future__ import annotations
@@ -25,17 +24,15 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError, IdentityError, ParameterError
-from .landscape import impute_mean
 from .matrix import AttitudeMatrix, IdeaId, ParticipantId
 
 ENUMERATION_CAP = 10**6
 
-_EXACT_CHUNK = 4096  # subsets per float-scored block
 _EXACT_MADDS = 1 << 18  # multiply-adds per integer-scored block; timed best of 2^16..2^22 on 2 CPUs
 
 
@@ -112,11 +109,14 @@ def _gain_weights(counts: np.ndarray, kind: ScoringKind) -> np.ndarray:
 
 
 def greedy_order(approvals: np.ndarray, steps: int, kind: ScoringKind) -> tuple[list[int], list[float]]:
-    """Select ``steps`` ideas by maximal marginal gain, lowest id on ties.
+    """Select ``steps`` ideas by maximal marginal gain, one float mat-vec a step.
 
-    Returns the selection order and the marginal gain recorded at each
-    step. This is the single source of tie-breaking shared by slates and
-    rankings.
+    Each step takes the first maximum of the float gains, so of ideas
+    with equal float gains the lowest id wins; ideas whose exact gains tie
+    can get floats that differ in the last bits, and then the larger float
+    wins, whatever its id. Returns the selection order and the marginal
+    gain recorded at each step. This is the single source of tie-breaking
+    shared by slates and rankings.
     """
     n, m = approvals.shape
     steps = min(steps, m)
@@ -165,7 +165,7 @@ def _lazy_greedy_order(approvals: np.ndarray, steps: int, kind: ScoringKind) -> 
 
 
 def greedy_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind, *, lazy: bool = False) -> Slate:
-    """Build a size-k slate greedily; ties go to the lowest idea id.
+    """Build a size-k slate greedily, with the float tie rule of :func:`greedy_order`.
 
     When fewer than ``k`` ideas exist, all of them are returned. The score
     attached to the result is recomputed exactly for the returned set.
@@ -185,112 +185,36 @@ def greedy_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind, *, lazy: boo
 # -- exact solver ----------------------------------------------------------
 
 
-def _certified_scale(n: int, k: int, kind: ScoringKind) -> int | None:
-    """The integer gain scale when the integer tie class certifies the float winner.
-
-    Coverage gains are 0/1 and every float sum of them is exact, so the
-    scale is 1. Harmonic gains are scaled by L = lcm(1..k); this returns L
-    while n(n + 1 + 2k)·H_k·2⁻⁵² < 1/L, else None.
-    """
-    if kind is ScoringKind.COVERAGE:
-        return 1
-    scale = 1
-    for j in range(2, k + 1):
-        scale = lcm(scale, j)
-        if scale >= 2**52:
-            return None
-    bound = n * (n + 1 + 2 * k) * float(harmonic_table(k)[k]) * scale
-    return scale if bound < 2.0**52 else None
-
-
-def _tie_class(approvals: np.ndarray, k: int, kind: ScoringKind, scale: int) -> Iterator[np.ndarray]:
-    """Blocks of the size-k subsets at the integer maximum, and some below it.
-
-    A subset's integer score sums, over the unique rows U with their
-    counts w, the scaled value of the row's approval count. Each block of
-    (k-1)-prefixes C scores every last idea with one product
-    ``base[C] + (w·Δg[C]) @ U``, where Δg is the scaled gain of one more
-    approval; float64 BLAS computes it exactly, since every partial sum
-    stays below 2⁵³. The last idea must exceed the prefix's largest.
-
-    Blocks come in lexicographic order and hold at most ``_EXACT_CHUNK``
-    subsets each. Ties are held back until they fill a block, so a class
-    that a higher maximum replaces is mostly dropped unscored; what of it
-    was yielded scores below the final class in floats too. Coverage keeps
-    only the first tie, since equal counts are equal floats.
-    """
-    m = approvals.shape[1]
-    packed = np.packbits(approvals, axis=1)  # one bytes key per row: a fast unique
-    _, first, weights = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_counts=True)
-    rows = approvals[first]
-    unique, weights = rows.astype(float), weights.astype(float)
-    columns = rows.T.astype(np.intp)
-    # steps[c]: the scaled gain of a row's (c+1)-th approval; values[c]: of c approvals
-    if kind is ScoringKind.HARMONIC:
-        steps = np.array([scale // c for c in range(1, k + 1)], dtype=float)
-    else:
-        steps = (np.arange(k) == 0).astype(float)
-    values = np.concatenate([[0.0], np.cumsum(steps)])[:k]
-    ideas = np.arange(m)
-    prefixes = itertools.combinations(range(m - 1), k - 1)
-    per_block = max(1, _EXACT_MADDS // (max(len(rows), 1) * m))
-    first_only = kind is ScoringKind.COVERAGE
-    level, held = -1.0, np.empty((0, k), dtype=np.intp)
-    while chunk := list(itertools.islice(prefixes, per_block)):
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k - 1)
-        counts = columns[idx].sum(axis=1)
-        scores = (steps[counts] * weights) @ unique + (values[counts] @ weights)[:, None]
-        scores[ideas <= idx.max(axis=1, initial=-1)[:, None]] = -1.0
-        top = float(scores.max())
-        if top < level or (top == level and first_only):
-            continue
-        which, lasts = np.nonzero(scores == top)
-        ties = np.column_stack([idx[which], lasts])[: 1 if first_only else None]
-        held = ties if top > level else np.concatenate([held, ties])
-        level = top
-        while len(held) > _EXACT_CHUNK:
-            yield held[:_EXACT_CHUNK]
-            held = held[_EXACT_CHUNK:]
-    yield held
-
-
-def _all_subsets(m: int, k: int) -> Iterator[np.ndarray]:
-    """Every size-k subset in lexicographic order, ``_EXACT_CHUNK`` a block."""
-    combos = itertools.combinations(range(m), k)
-    while chunk := list(itertools.islice(combos, _EXACT_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
-
-
 def exact_order_and_score(approvals: np.ndarray, k: int, kind: ScoringKind) -> tuple[tuple[int, ...], float]:
-    """The first lexicographic float maximum over all size-k subsets, and its score.
+    """The first subset, in lexicographic order, of maximal exact score, and its score.
 
-    A subset's float score is ``harmonic_table(k)[c].sum()`` over the
-    per-row approval counts ``c`` of its ideas, or the number of rows with
-    ``c > 0`` under coverage, summed over the rows as given. Ties in that
-    score go to the subset whose sorted ids come first. Only some subsets
-    are float-scored:
+    A subset's exact score sums, over the rows, H_c = 1 + 1/2 + ... + 1/c
+    under harmonic scoring, or 1 if c > 0 under coverage, where c counts
+    the row's approvals among the subset's ideas. Of the subsets of
+    maximal exact score, the one whose sorted ids come first wins; the
+    score returned is :func:`score_from_approvals` of that subset.
 
-    - Integer pass. Every subset is scored exactly, in integers, over the
-      distinct rows weighted by their counts; harmonic gains are scaled by
-      L = lcm(1..k), so distinct harmonic scores differ by at least 1/L.
-      The candidates are the whole tie class at the integer maximum.
-    - Certified bound. To first order, a float score lies within
-      (n(n+1)/2 + nk)·H_k·2⁻⁵³ of its exact value: n(n+1)/2 for the row
-      sum in any order, nk for the rounded table. The bound checked at
-      run time, n(n + 1 + 2k)·H_k·2⁻⁵² < 1/L, allows twice the error of
-      two scores, which covers the higher-order terms. While it holds,
-      floats order any two subsets of different exact score as the exact
-      scores do, so the float winner is in the tie class and is its first
-      float maximum. Coverage sums are exact, so coverage always qualifies
-      and takes the first tie.
-    - Fallback. Where the bound fails (from n = 2,299 at k = 20, and at
-      any n ≥ 1 from k = 31), every subset is a candidate.
+    One integer pass decides. Scaled by L = lcm(1..k) (1 under coverage),
+    a row's value is the integer L·H_c, and subsets are scored over the
+    distinct rows U weighted by their counts w. Each block of
+    (k-1)-prefixes C scores every last idea with one product
+    ``base[C] + (w·Δ[C]) @ U``, where Δ is the scaled gain of one more
+    approval; a last idea must exceed the prefix's largest. Blocks, their
+    prefixes and their last ideas all run in lexicographic order, so the
+    first maximum of each block, kept only where it beats every earlier
+    block, is the answer.
+
+    Exactness. Every term and partial sum of that product is a
+    non-negative integer at most the subset's scaled score, which is at
+    most n·L·H_k = n·Σ_{c≤k} L/c (n under coverage) over n rows. Float64
+    holds every integer below 2⁵³ exactly, and so adds and multiplies
+    such integers exactly in any order while the results stay below
+    2⁵³. So the pass runs in float64 while n·L·H_k < 2⁵³ (at k = 20 up to
+    n ≈ 10.75 million, at k = 29 up to n = 976, from k = 37 never), and on
+    Python ints (``dtype=object``) otherwise.
 
     Cost: C(m-1, k-1) prefixes, each scored against the m ideas over the
-    distinct rows in blocks of about ``_EXACT_MADDS`` multiply-adds, then
-    an (n × candidates × k) float pass in blocks of ``_EXACT_CHUNK``. The
-    tie class can hold every subset (no approvals, identical columns); the
-    float pass then costs what the fallback does.
+    distinct rows in blocks of about ``_EXACT_MADDS`` multiply-adds.
     """
     if k < 1:
         raise ParameterError("slate size k must be at least 1")
@@ -303,31 +227,37 @@ def exact_order_and_score(approvals: np.ndarray, k: int, kind: ScoringKind) -> t
         raise CapacityError(
             f"choose({m}, {k}) = {n_subsets} subsets exceeds the enumeration cap of {ENUMERATION_CAP}"
         )
-    scale = _certified_scale(n, k, kind)
-    blocks = _all_subsets(m, k) if scale is None else _tie_class(approvals, k, kind, scale)
-    table = harmonic_table(k)
-    best_score, best = -np.inf, ()
-    for idx in blocks:
-        counts = approvals[:, idx].sum(axis=2)
-        if kind is ScoringKind.HARMONIC:
-            scores = table[counts].sum(axis=0)
-        else:
-            scores = (counts > 0).sum(axis=0).astype(float)
-        local = int(np.argmax(scores))
-        if scores[local] > best_score:
-            best_score = float(scores[local])
-            best = tuple(int(p) for p in idx[local])
-    return best, best_score
+    packed = np.packbits(approvals, axis=1)  # one bytes key per row: a fast unique
+    _, first, weights = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_counts=True)
+    rows = approvals[first]
+    # steps[c]: the scaled gain of a row's (c+1)-th approval; values[c]: of c approvals
+    scale = lcm(*range(1, k + 1))
+    steps = [scale // c if kind is ScoringKind.HARMONIC else int(c == 1) for c in range(1, k + 1)]
+    dtype = float if n * sum(steps) < 2**53 else object
+    steps, values = np.array(steps, dtype=dtype), np.array([0, *itertools.accumulate(steps)][:k], dtype=dtype)
+    unique, weights = rows.astype(dtype), weights.astype(dtype)
+    columns = rows.T.astype(np.intp)
+    ideas = np.arange(m)
+    prefixes = itertools.combinations(range(m - 1), k - 1)
+    per_block = max(1, _EXACT_MADDS // (max(len(rows), 1) * m))
+    best_score, best = -1, ()
+    while chunk := list(itertools.islice(prefixes, per_block)):
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k - 1)
+        counts = columns[idx].sum(axis=1)
+        scores = (steps[counts] * weights) @ unique + (values[counts] @ weights)[:, None]
+        scores[ideas <= idx.max(axis=1, initial=-1)[:, None]] = -1
+        row, last = divmod(int(np.argmax(scores)), m)
+        if scores[row, last] > best_score:
+            best_score, best = scores[row, last], (*map(int, idx[row]), last)
+    return best, score_from_approvals(approvals, best, kind)
 
 
 def exact_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind) -> Slate:
     """Exhaustive optimum over all size-k subsets of ideas.
 
     Refuses instances whose subset count exceeds ``ENUMERATION_CAP`` and
-    ``k`` below 1. Among subsets of equal float score, the first by sorted
-    idea ids wins. Subsets are scored in integers on the distinct rows, and
-    only those tied at the integer maximum are float-scored, unless a
-    rounding bound fails; see :func:`exact_order_and_score`.
+    ``k`` below 1. Among subsets of equal exact score, the first by sorted
+    idea ids wins; see :func:`exact_order_and_score`.
     """
     ids, score = exact_order_and_score(matrix.approvals(), k, kind)
     return Slate(ideas=frozenset(ids), target_k=k, score=score, kind=kind)
@@ -385,20 +315,3 @@ def jr_audit(matrix: AttitudeMatrix, slate: Slate, level: int = 1) -> list[JrVio
     violations.sort(key=lambda v: (-len(v.group), sorted(v.group)))
     return violations
 
-
-# -- optional imputation pre-pass --------------------------------------------
-
-
-def imputed_approvals(matrix: AttitudeMatrix, threshold: float = 0.5) -> AttitudeMatrix:
-    """Fill unknown cells with their column-mean verdict before scoring.
-
-    A cell becomes approve when its column mean, as filled in by
-    :func:`delib.landscape.impute_mean`, is at or above ``threshold``
-    (columns with no data count as 0.5). The result is a new fully known
-    matrix; the original is untouched.
-    """
-    codes = matrix.codes()
-    if codes.size:  # impute_mean refuses empty shapes, which have no cell to fill
-        filled = impute_mean(matrix)
-        codes = np.where(filled.imputed_mask, filled.values >= threshold, codes)
-    return AttitudeMatrix.from_dense(codes.tolist(), texts=[idea.text for idea in matrix.ideas])

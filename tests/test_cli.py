@@ -322,6 +322,30 @@ def test_unreadable_input_exits_with_a_format_error(tmp_path, capsys, command, k
     assert "Traceback" not in err
 
 
+# Seeds the generators refuse end in a parameter error, under every policy;
+# ``simulate`` masks its seeds to 63 bits, so a negative one still runs.
+SEED_CASES = [
+    *[(["route", "--policy", policy, "--budget", "3", "--seed", "-5"], 3) for policy in ("uniform", "ranking",
+                                                                                        "uncertainty")],
+    (["landscape", "--k", "2", "--seed", "-1"], 3),
+    (["landscape", "--k", "2", "--space", "full", "--seed", "-1"], 3),
+    (["route", "--policy", "uniform", "--budget", "3", "--seed", "0"], 0),
+    (["landscape", "--k", "2", "--seed", str(2**64)], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", SEED_CASES, ids=repr)
+def test_seeds_exit_with_a_documented_code(tmp_path, capsys, matrix_csv, argv, code):
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "landscape" else []
+    assert main([*argv, "--input", matrix_csv, *out]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("parameter error: seed must be a non-negative integer"), err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
+
+
 def test_out_naming_an_existing_file_exits_with_a_format_error(tmp_path, capsys, matrix_csv):
     existing = tmp_path / "existing"
     existing.write_text("")

@@ -252,6 +252,16 @@ def test_kmeans_k_above_n_rejected():
         kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+def test_kmeans_refuses_seeds_the_generator_refuses(seed):
+    points = np.random.default_rng(0).random((6, 2))
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        kmeans(points, 2, seed=seed)
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        build_landscape(random_matrix(np.random.default_rng(1), 6, 3), 2, seed)
+    assert kmeans(points, 2, seed=2**70).assignment.shape == (6,)
+
+
 # -- fairness audit ----------------------------------------------------------------
 
 

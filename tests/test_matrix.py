@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,29 @@ def test_writes_refuse_to_push_an_exposure_past_int64():
     assert m.exposures.tolist() == [2**63 - 1, 2**63 - 1]
     assert m.total_exposure == 2**64 - 2
     assert m.audit_log == ((0, 1, A, U),)
+
+
+@pytest.mark.parametrize(
+    ("rows", "cols", "codes", "message"),
+    [
+        ([0, 0.5, 3], [0, 0, 0], [1, 1, 1], "unknown or inactive participant 0.5"),
+        ([0, 1, 3], [0, 0, 0], [1, 1, 1], "unknown or inactive participant 1"),  # departed
+        ([2, np.nan], [0, 0], [1, 1], "unknown or inactive participant nan"),
+        ([2**70], [0], [1], "unknown or inactive participant 1180591620717411303424"),  # an object array
+        ([0, 0, 0], [2, 1.5, np.inf], [1, 1, 1], "unknown idea 1.5"),
+        ([0, 0], [3, -1], [1, 1], "unknown idea 3"),
+        ([0, 0, 0], [0, 1, 2], [-1, 0.5, 2], "not an attitude code: 0.5"),
+        ([0, 0], [0, 1], [2, -2], "not an attitude code: 2"),
+    ],
+)
+def test_write_cells_names_the_first_bad_value_and_writes_nothing(rows, cols, codes, message):
+    m = AttitudeMatrix.from_dense([[None] * 3] * 3)
+    m.depart(1)
+    with pytest.raises(IdentityError, match=f"^{re.escape(message)}$"):
+        m._write_cells(rows, cols, codes)
+    assert m.n_known == 0 and m.exposures.tolist() == [0, 0, 0]
+    m._write_cells([0.0, 2.0], [1.0, 2], [1.0, -1])  # whole floats are ids and codes
+    assert m.codes().tolist() == [[-1, 1, -1], [-1, -1, -1], [-1, -1, -1]]
 
 
 def approval_set(matrix, i):

@@ -46,7 +46,6 @@ PUBLIC = {
     "IdeaId": None,
     "IdentityError": None,
     "impute_mean": ("matrix",),
-    "imputed_approvals": ("matrix", "threshold"),
     "jr_audit": ("matrix", "slate", "level"),
     "JrViolation": ("group", "witness_ideas", "group_share"),
     "kmeans": ("data", "k", "seed"),

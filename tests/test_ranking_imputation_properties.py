@@ -1,11 +1,10 @@
-"""Property tests of the elicitation ranking and the imputation pre-pass.
+"""Property tests of the elicitation ranking and mean imputation.
 
 Both are computed in array form. The plain per-idea loops kept here as
 references define the exact results: on random small matrices with uneven
 exposures, the ranking must equal the reference in order and in every
-provenance float, and the imputed matrix must equal it in codes,
-exposures, audit log and idea texts. Mean imputation must equal its
-per-column loop in every bit.
+provenance float. Mean imputation must equal its per-column loop in every
+bit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from delib import (
     elicitation_ranking,
     estimate_support,
     impute_mean,
-    imputed_approvals,
 )
 
 
@@ -59,20 +57,6 @@ def reference_elicitation_ranking(matrix, weights):
     return Ranking(order=tuple(order), provenance=tuple(priorities[p] for p in order))
 
 
-def reference_imputed_approvals(matrix, threshold=0.5):
-    codes = matrix.codes()
-    n, m = codes.shape
-    rows = codes.clip(min=0).astype(int).tolist()
-    for p in range(m):
-        known = codes[:, p] >= 0
-        mean = codes[known, p].mean() if known.any() else 0.5
-        fill = 1 if mean >= threshold else 0
-        for i in range(n):
-            if not known[i]:
-                rows[i][p] = fill
-    return AttitudeMatrix.from_dense(rows, texts=[idea.text for idea in matrix.ideas])
-
-
 @settings(max_examples=300, deadline=None)
 @given(exposed_matrices(), weights_strategy)
 def test_elicitation_ranking_equals_the_per_idea_loop(matrix, weights):
@@ -82,21 +66,6 @@ def test_elicitation_ranking_equals_the_per_idea_loop(matrix, weights):
     assert ranking.provenance == expected.provenance
     assert all(type(p) is int for p in ranking.order)
     assert all(type(v) is float for v in ranking.provenance)
-
-
-@settings(max_examples=300, deadline=None)
-@given(exposed_matrices(), st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]) | st.floats(-0.5, 1.5))
-def test_imputed_approvals_equal_the_per_cell_loop(matrix, threshold):
-    before = matrix.codes()
-    filled = imputed_approvals(matrix, threshold)
-    expected = reference_imputed_approvals(matrix, threshold)
-    assert filled.shape == expected.shape
-    assert filled.codes().tolist() == expected.codes().tolist()
-    assert filled.exposures.tolist() == expected.exposures.tolist()
-    assert filled.audit_log == expected.audit_log
-    assert filled.ideas == expected.ideas
-    assert filled.active_participants == expected.active_participants
-    assert matrix.codes().tolist() == before.tolist()
 
 
 def reference_impute_mean(matrix):

@@ -6,6 +6,7 @@ from delib import (
     AttitudeMatrix,
     ElicitationWeights,
     MixtureComponent,
+    ParameterError,
     PopulationConfig,
     elicitation_ranking,
     estimate_support,
@@ -283,3 +284,19 @@ def test_plans_avoid_known_and_inactive_randomized():
         if rng.random() < 0.05:
             m.add_participant()
     assert checks > 500
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+def test_planners_refuse_seeds_the_generator_refuses(seed):
+    matrix = AttitudeMatrix.from_dense([[1, None, None], [None, 0, None]])
+    ranking = proportional_ranking(matrix)
+    plans = (
+        lambda budget, seed: plan_uniform(matrix, None, budget, seed),
+        lambda budget, seed: plan_ranking_proportional(matrix, ranking, None, budget, seed),
+        lambda budget, seed: plan_uncertainty(matrix, None, budget, seed=seed),
+    )
+    for plan in plans:
+        for budget in (0, 2):  # refused even when nothing would be drawn
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                plan(budget, seed)
+        assert len(plan(2, 2**70).pairs) == 2

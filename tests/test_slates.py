@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,14 +21,12 @@ from delib import (
     Slate,
     exact_slate,
     greedy_slate,
-    imputed_approvals,
     jr_audit,
     slate_score,
 )
 from delib import slates
 from delib.slates import (
     ENUMERATION_CAP,
-    _certified_scale,
     exact_order_and_score,
     harmonic_table,
     score_from_approvals,
@@ -254,7 +253,7 @@ _EXACT_CHUNK = 4096
 
 
 def reference_exact_order_and_score(approvals, k, kind):
-    """exact_order_and_score before its integer pass: every subset float-scored."""
+    """The former float rule: the first subset of maximal float score, every subset float-scored."""
     n, m = approvals.shape
     if k >= m:
         ids = tuple(range(m))
@@ -283,6 +282,24 @@ def reference_exact_order_and_score(approvals, k, kind):
             best_score = float(scores[local])
             best = chunk[local]
     return best, best_score
+
+
+@functools.cache
+def harmonic_fraction(c):
+    return sum(Fraction(1, j) for j in range(1, c + 1))
+
+
+def exact_score(approvals, subset, kind):
+    """A subset's exact score: H_c as a Fraction (harmonic) or [c > 0] (coverage), summed over the rows."""
+    rows_per_count = np.bincount(approvals[:, list(subset)].sum(axis=1), minlength=len(subset) + 1)
+    value = harmonic_fraction if kind is H else (lambda c: int(c > 0))
+    return sum(int(rows) * value(c) for c, rows in enumerate(rows_per_count))
+
+
+def first_exact_maximum(approvals, k, kind):
+    """The first size-min(k, m) subset, in lexicographic order, of maximal exact score."""
+    m = approvals.shape[1]
+    return max(itertools.combinations(range(m), min(k, m)), key=lambda subset: exact_score(approvals, subset, kind))
 
 
 def swapped_in_pairs(order):
@@ -320,46 +337,50 @@ def exact_inputs(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(exact_inputs(), st.sampled_from([H, C]), st.sampled_from([(4096, 1 << 18), (1, 1), (3, 20)]))
-def test_exact_equals_the_float_enumeration(inputs, kind, block_sizes):
-    """Also with blocks small enough that these small inputs span several."""
+@given(exact_inputs(), st.sampled_from([H, C]), st.sampled_from([1 << 18, 1, 20]))
+def test_exact_equals_the_float_enumeration(inputs, kind, madds):
+    """The first subset of maximal exact score, which ties the float
+    enumeration's winner exactly and never comes after it. Also with blocks
+    small enough that these small inputs span several."""
     approvals, k = inputs
-    chunk, madds = block_sizes
-    with mock.patch.object(slates, "_EXACT_CHUNK", chunk), mock.patch.object(slates, "_EXACT_MADDS", madds):
+    with mock.patch.object(slates, "_EXACT_MADDS", madds):
         ids, score = exact_order_and_score(approvals, k, kind)
-    ref_ids, ref_score = reference_exact_order_and_score(approvals, k, kind)
-    assert ids == ref_ids
-    assert score == ref_score
+    assert ids == first_exact_maximum(approvals, k, kind)
+    assert score == score_from_approvals(approvals, ids, kind)
+    float_ids, _ = reference_exact_order_and_score(approvals, k, kind)
+    assert exact_score(approvals, ids, kind) == exact_score(approvals, float_ids, kind)
+    assert ids <= float_ids
     assert all(type(p) is int for p in ids) and type(score) is float
 
 
-@pytest.mark.parametrize(("chunk", "madds"), [(4096, 1 << 18), (1, 1)])
-def test_exact_breaks_rational_ties_by_float_score(chunk, madds):
+@pytest.mark.parametrize("madds", [1 << 18, 1])
+def test_exact_breaks_rational_ties_lexicographically(madds):
     rng = np.random.default_rng(17)
     left = rng.random((20, 3)) < 0.5
     approvals = np.hstack([left, left[swapped_in_pairs(rng.permutation(20))]])
-    with mock.patch.object(slates, "_EXACT_CHUNK", chunk), mock.patch.object(slates, "_EXACT_MADDS", madds):
+    with mock.patch.object(slates, "_EXACT_MADDS", madds):
         ids, score = exact_order_and_score(approvals, 3, H)
-    assert (ids, score) == reference_exact_order_and_score(approvals, 3, H)
-
-    def rational(subset):
-        return sum(sum(Fraction(1, j) for j in range(1, c + 1)) for c in approvals[:, subset].sum(axis=1))
-
-    first_rational_max = max(itertools.combinations(range(6), 3), key=rational)
-    assert rational(ids) == rational(first_rational_max)
-    assert ids != first_rational_max  # the floats split this exact tie
+    first_rational_max = first_exact_maximum(approvals, 3, H)
+    assert ids == first_rational_max == (0, 2, 3)
+    assert score == score_from_approvals(approvals, ids, H)
+    float_ids, _ = reference_exact_order_and_score(approvals, 3, H)
+    assert float_ids == (0, 3, 5)  # the floats split this exact tie
+    assert exact_score(approvals, float_ids, H) == exact_score(approvals, ids, H)
 
 
-def test_exact_without_the_certified_bound_scores_every_subset():
-    # at k = 20 the bound n(n + 1 + 2k)·H_k·2^-52 < 1/lcm(1..20) fails from
-    # n = 2,299, so all 21 subsets are float-scored
-    assert _certified_scale(2_298, 20, H) is not None
-    assert _certified_scale(2_299, 20, H) is None
-    rng = np.random.default_rng(16)
-    approvals = rng.random((2_400, 21)) < 0.9
-    approvals[:, 20] = approvals[rng.permutation(2_400), 0]  # ideas 0 and 20: one count, two row orders
-    for kind in (H, C):
-        assert exact_order_and_score(approvals, 20, kind) == reference_exact_order_and_score(approvals, 20, kind)
+def test_exact_scores_in_python_ints_past_float64():
+    # over 40 rows at k = 38 the largest scaled score, 40·lcm(1..38)·H_38,
+    # passes 2^53, so float64 could round the sums; the pass runs on Python ints
+    k = 38
+    assert 40 * sum(math.lcm(*range(1, k + 1)) // c for c in range(1, k + 1)) >= 2**53
+    rng = np.random.default_rng(55)
+    left = rng.random((40, 20)) < 0.95
+    approvals = np.hstack([left, left[rng.permutation(40)]])
+    ids, score = exact_order_and_score(approvals, k, H)
+    assert ids == first_exact_maximum(approvals, k, H)
+    # float64 sums return the exactly tied subset without ideas 18 and 21
+    assert set(range(40)) - set(ids) == {18, 39}
+    assert score == score_from_approvals(approvals, ids, H)
 
 
 # -- properties ----------------------------------------------------------------
@@ -513,14 +534,3 @@ def audit_inputs(draw):
 def test_jr_audit_equals_the_per_level_loops(inputs, level):
     matrix, slate = inputs
     assert jr_audit(matrix, slate, level=level) == reference_jr_audit(matrix, slate, level)
-
-
-# -- imputation pre-pass -----------------------------------------------------------
-
-
-def test_imputed_approvals_fills_by_column_mean():
-    m = AttitudeMatrix.from_dense([[1, 0], [1, None], [None, None]])
-    filled = imputed_approvals(m)
-    assert filled.get(2, 0) is Attitude.APPROVE  # column mean 1.0
-    assert filled.get(1, 1) is Attitude.DISAPPROVE  # column mean 0.0
-    assert filled.completion_rate() == 1.0
