@@ -207,9 +207,7 @@ def match_accuracy(predicted, truth) -> float:
     k_true = int(truth.max()) + 1
     if max(k_pred, k_true) > _LABEL_CAP:
         raise ParameterError(f"label matching is enumerated and capped at {_LABEL_CAP} clusters")
-    confusion = np.zeros((k_pred, k_true), dtype=int)
-    for a, b in zip(predicted, truth):
-        confusion[a, b] += 1
+    confusion = np.bincount(predicted * k_true + truth, minlength=k_pred * k_true).reshape(k_pred, k_true)
     best = 0
     if k_pred <= k_true:
         for mapping in itertools.permutations(range(k_true), k_pred):
@@ -246,6 +244,23 @@ def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) 
     return ids, score_from_approvals(approvals, ids, kind), False
 
 
+def _reuse(solved: list, fn, approvals: np.ndarray, *args):
+    """``fn(approvals, *args)``, or the result of an entry of ``solved`` with equal inputs.
+
+    ``fn`` is pure, so a reused result is the one a fresh call returns; it is
+    shared, so callers treat it as read-only. Shapes are compared before
+    contents, so a miss on a grown matrix costs no element compare. The
+    call's entry, (fn, args, approvals, result), is appended to ``solved``.
+    """
+    for entry in solved:
+        if entry[:2] == (fn, args) and entry[2].shape == approvals.shape and np.array_equal(entry[2], approvals):
+            break
+    else:
+        entry = (fn, args, approvals, fn(approvals, *args))
+    solved.append(entry)
+    return entry[3]
+
+
 def plan_for_policy(policy: str, matrix: AttitudeMatrix, budget: int, weights: ElicitationWeights,
                     seed: int) -> QueryPlan:
     """The query plan of a routing policy over the active participants."""
@@ -259,21 +274,26 @@ def plan_for_policy(policy: str, matrix: AttitudeMatrix, budget: int, weights: E
 
 
 def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationModel,
-                  round_index: int, queries_served: int, notes: list[str]) -> RoundMetrics:
+                  round_index: int, queries_served: int, notes: list[str],
+                  solved: list | None = None) -> RoundMetrics:
     """Compute one round's metrics from a frozen snapshot.
 
-    Changes nothing but the model's cached truth matrix, which
-    ``ground_truth`` extends to the model's current size.
+    - Changes nothing but ``solved`` and the model's cached truth matrix,
+      which ``ground_truth`` extends to the model's current size.
+    - A slate or full order is reused only for an approval matrix
+      bit-identical to one solved this round or in the previous round's
+      entries of ``solved`` (see ``_reuse``), so the metrics do not change.
     """
+    solved = [] if solved is None else solved
+    del solved[:-4]  # the previous round's four entries
     truth = ground_truth(model)
     active = list(truth.active)
     truth_active = truth.matrix[active].astype(bool)
     approvals_est = snap.approvals()
 
-    est_ids, _, _ = _solve_slate(approvals_est, config.slate_k, config.scoring, config.slate_solver)
-    oracle_ids, oracle_score, oracle_exact = _solve_slate(
-        truth_active, config.slate_k, config.scoring, config.slate_solver
-    )
+    slate_args = (config.slate_k, config.scoring, config.slate_solver)
+    est_ids, _, _ = _reuse(solved, _solve_slate, approvals_est, *slate_args)
+    oracle_ids, oracle_score, oracle_exact = _reuse(solved, _solve_slate, truth_active, *slate_args)
     if not oracle_exact and "oracle-greedy" not in notes:
         notes.append("oracle-greedy")
 
@@ -281,8 +301,8 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     covered = truth_active[:, sorted(est_ids)].any(axis=1).mean() if est_ids and active else 0.0
     symmetric_difference = len(set(est_ids) ^ set(oracle_ids))
 
-    est_order, _ = greedy_order(approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
-    oracle_order, _ = greedy_order(truth_active, snap.n_ideas, ScoringKind.HARMONIC)
+    est_order, _ = _reuse(solved, greedy_order, approvals_est, snap.n_ideas, ScoringKind.HARMONIC)
+    oracle_order, _ = _reuse(solved, greedy_order, truth_active, snap.n_ideas, ScoringKind.HARMONIC)
     position_est = np.empty(snap.n_ideas)
     position_oracle = np.empty(snap.n_ideas)
     position_est[est_order] = np.arange(snap.n_ideas)
@@ -341,6 +361,7 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
 
     notes: list[str] = []
     rows: list[RoundMetrics] = []
+    solved: list = []  # solver results that _sense_making may reuse in the next round
     for round_index in range(1, config.rounds + 1):
         contribute_ideas(config.ideas_per_round)
 
@@ -352,7 +373,7 @@ def run_loop(config: LoopConfig) -> MetricsTimeline:
         matrix._write_cells(cells[:, 0], cells[:, 1], approves.view(np.int8), served=True)
 
         rows.append(
-            _sense_making(config, matrix.snapshot(), model, round_index, len(plan.pairs), notes)
+            _sense_making(config, matrix.snapshot(), model, round_index, len(plan.pairs), notes, solved)
         )
 
         arrivals, departures = step_churn(model, round_index, config.population.seed)

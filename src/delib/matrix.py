@@ -188,16 +188,22 @@ class AttitudeMatrix:
         codes = codes.astype(np.int8, copy=False)
         key = rows * self.n_ideas + cols
         order = np.argsort(key, kind="stable")  # by cell, input order within a cell
-        first, last = np.diff(key[order], prepend=-1) != 0, np.diff(key[order], append=-1) != 0
-        r, c, written = rows[order], cols[order], codes[order]
-        old = np.empty_like(codes)  # a cell's first write sees the matrix, a later one the write before
-        old[order] = np.where(first, self._codes[r, c], np.roll(written, 1))
+        key = key[order]
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            first, last = np.append(True, ~repeat), np.append(~repeat, True)
+            r, c, written = rows[order], cols[order], codes[order]
+            old = np.empty_like(codes)  # a cell's first write sees the matrix, a later one the write before
+            old[order] = np.where(first, self._codes[r, c], np.roll(written, 1))
+            r, c, written = r[last], c[last], written[last]
+        else:  # every write sees the matrix and is its cell's last
+            r, c, written, old = rows, cols, codes, self._codes[rows, cols]
         exposed = np.ones(codes.size, dtype=bool) if served else (old < 0) & (codes >= 0)
         added = np.bincount(cols[exposed], minlength=self.n_ideas)
         over = np.flatnonzero(added > _EXPOSURE_MAX - self.exposures)
         if over.size:
             raise IdentityError(f"idea {over[0]}: exposure would exceed int64")
-        self._codes[r[last], c[last]] = written[last]
+        self._codes[r, c] = written
         for j in np.flatnonzero((old >= 0) & (codes != old)).tolist():
             self._audit_log.append((int(rows[j]), int(cols[j]), Attitude(int(old[j])), Attitude(int(codes[j]))))
         self._exposure = (self.exposures + added).tolist()

@@ -1,12 +1,20 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+
+import delib.loop as loop_module
 
 from delib import (
     LoopConfig,
     MixtureComponent,
     ParameterError,
     PopulationConfig,
+    ScoringKind,
     compare_policies,
     exposure_gini,
     match_accuracy,
@@ -69,6 +77,27 @@ def test_match_accuracy_rejects_mismatched_or_negative_labels():
         match_accuracy([0, -1], [0, 1])
     with pytest.raises(ParameterError, match="non-negative"):
         match_accuracy([0, 1], [-1, 1])
+
+
+def reference_match_accuracy(predicted, truth):
+    """The per-pair confusion loop, then the best one-to-one label assignment."""
+    k_pred, k_true = max(predicted) + 1, max(truth) + 1
+    confusion = [[0] * k_true for _ in range(k_pred)]
+    for a, b in zip(predicted, truth):
+        confusion[a][b] += 1
+    if k_pred <= k_true:
+        pairs = (zip(range(k_pred), m) for m in itertools.permutations(range(k_true), k_pred))
+    else:
+        pairs = (zip(m, range(k_true)) for m in itertools.permutations(range(k_pred), k_true))
+    return max(sum(confusion[a][b] for a, b in pairing) for pairing in pairs) / len(predicted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                                                      st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+def test_match_accuracy_equals_the_confusion_loop(labels):
+    predicted, truth = labels
+    assert match_accuracy(predicted, truth) == reference_match_accuracy(predicted, truth)
 
 
 def test_config_rejects_more_clusters_than_label_matching_takes():
@@ -192,6 +221,83 @@ def test_phase_purity_of_sense_making():
     _sense_making(config, snap, model, 1, 0, [])
     after = (snap.codes().tolist(), snap.exposures.tolist(), snap.shape)
     assert before == after
+
+
+# -- solver reuse ---------------------------------------------------------------
+
+
+def _counting(monkeypatch, name, counted=lambda approvals, *args: True):
+    """Replace ``delib.loop.<name>`` by a wrapper; the list counts its calls that ``counted`` selects."""
+    calls = []
+    inner = getattr(loop_module, name)
+
+    def wrapper(approvals, *args):
+        if counted(approvals, *args):
+            calls.append(approvals.shape)
+        return inner(approvals, *args)
+
+    monkeypatch.setattr(loop_module, name, wrapper)
+    return calls
+
+
+def _full_order(approvals, steps, kind):
+    return steps == approvals.shape[1]
+
+
+def _criterion_8_population(seed):
+    mixture = (MixtureComponent(0.5, (-3.0, 0.0), 1.0), MixtureComponent(0.5, (3.0, 0.0), 1.0))
+    return PopulationConfig(n0=200, approval_radius=3.0, mixture=mixture, seed=seed)
+
+
+@pytest.mark.parametrize("policy", ["uniform", "ranking", "uncertainty"])
+def test_full_budget_loop_solves_each_input_once(monkeypatch, policy):
+    # criterion 8's full-budget config: every cell is known after round 1 and
+    # nothing changes after, so one exact slate and one full order serve both
+    # the estimate and the oracle in every round
+    config = LoopConfig(population=_criterion_8_population(0), rounds=5, query_budget_per_round=200 * 50,
+                        routing_policy=policy, initial_ideas=50, slate_k=3, slate_solver="auto", landscape_k=2)
+    exact = _counting(monkeypatch, "exact_order_and_score")
+    orders = _counting(monkeypatch, "greedy_order", _full_order)
+    timeline = run_loop(config)
+    assert len(timeline.rows) == 5 and all(row.oracle_exact for row in timeline.rows)
+    assert exact == [(200, 50)]
+    assert orders == [(200, 50)]
+
+
+def test_churn_loop_solves_every_round_afresh(monkeypatch):
+    # new ideas every round change the shape, so nothing can be reused
+    population = PopulationConfig(n0=40, approval_radius=3.0, mixture=TWO_BLOCS, noise_sigma=0.5,
+                                  arrival_rate=2.0, departure_prob=0.05, seed=5)
+    config = small_config(population=population, rounds=6, query_budget_per_round=60, ideas_per_round=2)
+    slates = _counting(monkeypatch, "_solve_slate")
+    orders = _counting(monkeypatch, "greedy_order", _full_order)
+    timeline = run_loop(config)
+    assert len(slates) == len(orders) == 2 * len(timeline.rows) == 12
+    assert len(set(slates[::2])) == 6  # one new shape a round
+
+
+def _recompute(solved, fn, approvals, *args):
+    return fn(approvals, *args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    noise=st.sampled_from([0.0, 0.5]),
+    churn=st.booleans(),
+    ideas_per_round=st.sampled_from([0, 1]),
+    budget=st.sampled_from([15, 10_000]),
+    solver=st.sampled_from(["auto", "greedy", "exact"]),
+    scoring=st.sampled_from(list(ScoringKind)),
+    seed=st.integers(0, 2**16),
+)
+def test_reuse_leaves_the_timeline_unchanged(noise, churn, ideas_per_round, budget, solver, scoring, seed):
+    population = PopulationConfig(n0=10, approval_radius=3.0, mixture=TWO_BLOCS, noise_sigma=noise,
+                                  arrival_rate=1.5 * churn, departure_prob=0.1 * churn, seed=seed)
+    config = small_config(population=population, rounds=4, query_budget_per_round=budget, initial_ideas=5,
+                          ideas_per_round=ideas_per_round, slate_solver=solver, scoring=scoring, seed=seed)
+    reused = repr(run_loop(config))  # repr, so that NaN metrics compare equal
+    with mock.patch.object(loop_module, "_reuse", _recompute):
+        assert repr(run_loop(config)) == reused
 
 
 # -- policy comparison -----------------------------------------------------------
