@@ -40,7 +40,6 @@ from .loop import (
     exposure_gini,
     match_accuracy,
     run_loop,
-    sign_test_pvalue,
 )
 from .matrix import Attitude, AttitudeMatrix, Idea, IdeaId, ParticipantId
 from .population import (
@@ -133,7 +132,6 @@ __all__ = [
     "proportional_ranking",
     "run_loop",
     "sample_attitudes",
-    "sign_test_pvalue",
     "slate_score",
     "step_churn",
     "wilson_interval",

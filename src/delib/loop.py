@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from math import comb
 
 import numpy as np
 
@@ -42,13 +41,7 @@ from .routing import (
     plan_uncertainty,
     plan_uniform,
 )
-from .slates import (
-    ENUMERATION_CAP,
-    ScoringKind,
-    exact_order_and_score,
-    greedy_order,
-    score_from_approvals,
-)
+from .slates import ScoringKind, _solve_slate, greedy_order, score_from_approvals
 
 _TAG_AUTHORS = 11
 _TAG_PLAN = 22
@@ -218,30 +211,11 @@ def match_accuracy(predicted, truth) -> float:
     return float(best / predicted.size)
 
 
-def sign_test_pvalue(successes: int, trials: int) -> float:
-    """One-sided exact binomial tail P(X >= successes) at p = 1/2."""
-    if not 0 <= successes <= trials:
-        raise ParameterError("successes must lie in [0, trials]")
-    total = sum(comb(trials, j) for j in range(successes, trials + 1))
-    return total / 2**trials
-
-
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([p & ((1 << 63) - 1) for p in parts]).generate_state(1)[0])
 
 
 # -- the loop itself ------------------------------------------------------------
-
-
-def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) -> tuple[tuple[int, ...], float, bool]:
-    """(ideas, score, used_exact) under the configured solver choice."""
-    m = approvals.shape[1]
-    if solver == "exact" or (solver == "auto" and (k >= m or comb(m, k) <= ENUMERATION_CAP)):
-        ids, score = exact_order_and_score(approvals, k, kind)
-        return ids, score, True
-    order, _ = greedy_order(approvals, k, kind)
-    ids = tuple(sorted(order))
-    return ids, score_from_approvals(approvals, ids, kind), False
 
 
 def _reuse(solved: list, fn, approvals: np.ndarray, *args):
@@ -283,13 +257,17 @@ def _sense_making(config: LoopConfig, snap: AttitudeMatrix, model: PopulationMod
     - A slate or full order is reused only for an approval matrix
       bit-identical to one solved this round or in the previous round's
       entries of ``solved`` (see ``_reuse``), so the metrics do not change.
+      Entries whose shape no input of this round has cannot match and
+      are dropped before any solve.
     """
     solved = [] if solved is None else solved
-    del solved[:-4]  # the previous round's four entries
     truth = ground_truth(model)
     active = list(truth.active)
     truth_active = truth.matrix[active].astype(bool)
     approvals_est = snap.approvals()
+    # of the previous round's four entries, keep those an input of this round can equal
+    shapes = (approvals_est.shape, truth_active.shape)
+    solved[:] = [entry for entry in solved[-4:] if entry[2].shape in shapes]
 
     slate_args = (config.slate_k, config.scoring, config.slate_solver)
     est_ids, _, _ = _reuse(solved, _solve_slate, approvals_est, *slate_args)

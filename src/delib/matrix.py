@@ -227,12 +227,6 @@ class AttitudeMatrix:
         self._check_idea(p)
         return Attitude(self._codes.item(i, p))
 
-    def column_counts(self, p: IdeaId) -> tuple[int, int]:
-        """(approvals, responses) in column ``p``."""
-        self._check_idea(p)
-        col = self._codes[:, p]
-        return int((col == 1).sum()), int((col >= 0).sum())
-
     def column_counts_all(self) -> tuple[np.ndarray, np.ndarray]:
         """(approvals, responses) per idea, as two length-m arrays."""
         codes = self._codes

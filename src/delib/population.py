@@ -37,6 +37,7 @@ _TAG_CHURN = 303
 _TAG_IDEA = 404
 
 _COV_TOL = 1e-8  # the default tolerance of NumPy's multivariate_normal check
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # the largest rate rng.poisson takes
 
 
 def _rng(*entropy: int) -> np.random.Generator:
@@ -183,6 +184,8 @@ class PopulationConfig:
             raise ParameterError("noise_sigma must be non-negative")
         if self.arrival_rate < 0:
             raise ParameterError("arrival_rate must be non-negative")
+        if self.arrival_rate > _POISSON_LAM_MAX:
+            raise ParameterError(f"arrival_rate may not exceed NumPy's Poisson limit {_POISSON_LAM_MAX:.6g}")
         if not 0.0 <= self.departure_prob <= 1.0:
             raise ParameterError("departure_prob must lie in [0, 1]")
         if self.idea_jitter < 0:

@@ -96,7 +96,8 @@ def estimate_support(matrix: AttitudeMatrix, p: IdeaId, weights: ElicitationWeig
     The interval is widened, if necessary, to contain the smoothed mean so
     that ci_low <= mean <= ci_high always holds.
     """
-    approvals, responses = matrix.column_counts(p)
+    matrix._check_idea(p)
+    approvals, responses = (int(counts[p]) for counts in matrix.column_counts_all())
     mean, low, high = map(float, _smoothed_supports(approvals, responses, weights))
     return SupportEstimate(idea=p, mean=mean, ci_low=low, ci_high=high, sample_size=responses)
 

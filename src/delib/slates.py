@@ -5,7 +5,8 @@ Two scoring rules are supported. Harmonic scoring rewards each participant
 slate; coverage scoring counts the participants with at least one approved
 idea in it. Both are monotone submodular set functions, so greedy selection
 carries the usual (1 - 1/e) guarantee, and an exhaustive solver is provided
-for instances small enough to enumerate.
+for instances small enough to enumerate. ``_solve_slate`` owns the choice
+between the two.
 
 The exhaustive solver decides on exact scores: it returns the first
 subset, in lexicographic order, of maximal exact (rational) score, found
@@ -69,8 +70,6 @@ class JrViolation:
 
 def harmonic_table(upto: int) -> np.ndarray:
     """H[l] = 1 + 1/2 + ... + 1/l, with H[0] = 0."""
-    if upto == 0:
-        return np.zeros(1)
     return np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, upto + 1))])
 
 
@@ -259,8 +258,19 @@ def exact_slate(matrix: AttitudeMatrix, k: int, kind: ScoringKind) -> Slate:
     ``k`` below 1. Among subsets of equal exact score, the first by sorted
     idea ids wins; see :func:`exact_order_and_score`.
     """
-    ids, score = exact_order_and_score(matrix.approvals(), k, kind)
+    ids, score, _ = _solve_slate(matrix.approvals(), k, kind, "exact")
     return Slate(ideas=frozenset(ids), target_k=k, score=score, kind=kind)
+
+
+def _solve_slate(approvals: np.ndarray, k: int, kind: ScoringKind, solver: str) -> tuple[tuple[int, ...], float, bool]:
+    """(sorted ids, score, used_exact); "auto" enumerates while k >= m or C(m, k) fits ``ENUMERATION_CAP``."""
+    m = approvals.shape[1]
+    if solver == "exact" or (solver == "auto" and (k >= m or comb(m, k) <= ENUMERATION_CAP)):
+        ids, score = exact_order_and_score(approvals, k, kind)
+        return ids, score, True
+    order, _ = greedy_order(approvals, k, kind)
+    ids = tuple(sorted(order))
+    return ids, score_from_approvals(approvals, ids, kind), False
 
 
 # -- proportionality audit ---------------------------------------------------

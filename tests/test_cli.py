@@ -397,6 +397,7 @@ CONFIG_VALUE_CASES = [
     (("scoring",), 5, 2),
     (("landscape_space",), "bogus", 3),
     (("landscape_k",), 11, 3),
+    (("population", "arrival_rate"), 1e20, 3),  # above NumPy's Poisson limit
     *[(path, [], 2) for path in SECTIONS],
 ]
 

@@ -1,13 +1,14 @@
 import itertools
+from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 import delib.loop as loop_module
+import delib.slates as slates_module
 
 from delib import (
     LoopConfig,
@@ -17,9 +18,9 @@ from delib import (
     ScoringKind,
     compare_policies,
     exposure_gini,
+    ground_truth,
     match_accuracy,
     run_loop,
-    sign_test_pvalue,
 )
 
 TWO_BLOCS = (
@@ -109,13 +110,6 @@ def test_config_rejects_more_clusters_than_label_matching_takes():
     small_config(population=PopulationConfig(n0=12, approval_radius=3.0, mixture=eleven[:10])).validate()
     with pytest.raises(ParameterError, match="may not exceed 10"):
         small_config(population=PopulationConfig(n0=12, approval_radius=3.0, mixture=eleven)).validate()
-
-
-def test_sign_test_matches_scipy():
-    for wins, trials in [(15, 20), (16, 20), (20, 20), (10, 20), (0, 5)]:
-        ours = sign_test_pvalue(wins, trials)
-        reference = stats.binomtest(wins, trials, 0.5, alternative="greater").pvalue
-        assert ours == pytest.approx(reference, rel=1e-12)
 
 
 # -- the loop -----------------------------------------------------------------
@@ -226,17 +220,17 @@ def test_phase_purity_of_sense_making():
 # -- solver reuse ---------------------------------------------------------------
 
 
-def _counting(monkeypatch, name, counted=lambda approvals, *args: True):
-    """Replace ``delib.loop.<name>`` by a wrapper; the list counts its calls that ``counted`` selects."""
+def _counting(monkeypatch, module, name, counted=lambda approvals, *args: True):
+    """Replace ``module.<name>`` by a wrapper; the list counts its calls that ``counted`` selects."""
     calls = []
-    inner = getattr(loop_module, name)
+    inner = getattr(module, name)
 
     def wrapper(approvals, *args):
         if counted(approvals, *args):
             calls.append(approvals.shape)
         return inner(approvals, *args)
 
-    monkeypatch.setattr(loop_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -256,8 +250,8 @@ def test_full_budget_loop_solves_each_input_once(monkeypatch, policy):
     # the estimate and the oracle in every round
     config = LoopConfig(population=_criterion_8_population(0), rounds=5, query_budget_per_round=200 * 50,
                         routing_policy=policy, initial_ideas=50, slate_k=3, slate_solver="auto", landscape_k=2)
-    exact = _counting(monkeypatch, "exact_order_and_score")
-    orders = _counting(monkeypatch, "greedy_order", _full_order)
+    exact = _counting(monkeypatch, slates_module, "exact_order_and_score")
+    orders = _counting(monkeypatch, loop_module, "greedy_order", _full_order)
     timeline = run_loop(config)
     assert len(timeline.rows) == 5 and all(row.oracle_exact for row in timeline.rows)
     assert exact == [(200, 50)]
@@ -269,11 +263,42 @@ def test_churn_loop_solves_every_round_afresh(monkeypatch):
     population = PopulationConfig(n0=40, approval_radius=3.0, mixture=TWO_BLOCS, noise_sigma=0.5,
                                   arrival_rate=2.0, departure_prob=0.05, seed=5)
     config = small_config(population=population, rounds=6, query_budget_per_round=60, ideas_per_round=2)
-    slates = _counting(monkeypatch, "_solve_slate")
-    orders = _counting(monkeypatch, "greedy_order", _full_order)
+    slates = _counting(monkeypatch, loop_module, "_solve_slate")
+    orders = _counting(monkeypatch, loop_module, "greedy_order", _full_order)
     timeline = run_loop(config)
     assert len(slates) == len(orders) == 2 * len(timeline.rows) == 12
     assert len(set(slates[::2])) == 6  # one new shape a round
+
+
+def test_churn_round_keeps_only_entries_of_its_own_shapes(monkeypatch):
+    # entries of the previous round whose shape neither of this round's
+    # inputs has cannot match, so the store drops them before solving
+    population = PopulationConfig(n0=40, approval_radius=3.0, mixture=TWO_BLOCS, noise_sigma=0.5,
+                                  arrival_rate=2.0, departure_prob=0.05, seed=5)
+    config = small_config(population=population, rounds=6, query_budget_per_round=60, ideas_per_round=2)
+    inner = loop_module._sense_making
+    stored = []
+
+    def checked(config, snap, model, round_index, queries_served, notes, solved):
+        row = inner(config, snap, model, round_index, queries_served, notes, solved)
+        truth = ground_truth(model)
+        shapes = {snap.shape, (len(truth.active), truth.matrix.shape[1])}
+        stored.append((len(solved), {entry[2].shape for entry in solved} <= shapes))
+        return row
+
+    monkeypatch.setattr(loop_module, "_sense_making", checked)
+    run_loop(config)
+    assert stored == [(4, True)] * 6
+
+
+@pytest.mark.parametrize("initial_ideas, exact", [(6, True), (7, False)])
+def test_oracle_goes_greedy_above_the_enumeration_cap(monkeypatch, initial_ideas, exact):
+    # the loop reads the cap where slates owns it, so patching it there
+    # moves the auto rule's switch to C(6, 3) = 20 subsets
+    monkeypatch.setattr(slates_module, "ENUMERATION_CAP", comb(6, 3))
+    timeline = run_loop(small_config(rounds=2, initial_ideas=initial_ideas, slate_k=3))
+    assert [row.oracle_exact for row in timeline.rows] == [exact, exact]
+    assert ("oracle-greedy" in timeline.notes) is not exact
 
 
 def _recompute(solved, fn, approvals, *args):

@@ -327,7 +327,6 @@ def test_column_mean_matches_direct_summation():
             a = int((codes[:, p] == 1).sum())
             b = int((codes[:, p] == 0).sum())
             assert (approvals[p], responses[p]) == (a, a + b)
-            assert m.column_counts(p) == (a, a + b)
 
 
 def test_exposure_never_below_known_count():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delib.population as population_module
 from delib import (
     Attitude,
     IdentityError,
@@ -52,6 +53,18 @@ def test_degenerate_component_at_origin():
     )
     model = generate_population(config, 0)
     assert all(np.allclose(pos, 0.0) for pos in model.participant_positions)
+
+
+def test_arrival_rates_stop_at_numpys_poisson_limit():
+    limit = population_module._POISSON_LAM_MAX
+    rng = np.random.default_rng(0)
+    rng.poisson(limit)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(limit, np.inf))
+    PopulationConfig(n0=1, approval_radius=1.0, arrival_rate=limit).validate()
+    for rate in (np.nextafter(limit, np.inf), 1e20, float(2**64)):
+        with pytest.raises(ParameterError, match="Poisson limit"):
+            PopulationConfig(n0=1, approval_radius=1.0, arrival_rate=rate).validate()
 
 
 def test_invalid_configs_rejected():

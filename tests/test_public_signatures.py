@@ -9,12 +9,16 @@ have no parameters to pin and are listed as ``None``.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
+import sys
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
 import delib
+import delib.cli
 from delib import AttitudeMatrix
 
 PUBLIC = {
@@ -84,7 +88,6 @@ PUBLIC = {
     "run_loop": ("config",),
     "sample_attitudes": ("model", "pairs", "round_seed"),
     "ScoringKind": None,
-    "sign_test_pvalue": ("successes", "trials"),
     "Slate": ("ideas", "target_k", "score", "kind"),
     "slate_score": ("matrix", "ideas", "kind"),
     "step_churn": ("model", "round_index", "seed"),
@@ -100,7 +103,6 @@ MATRIX_MEMBERS = {
     "approvals": ("self",),
     "audit_log": None,
     "codes": ("self",),
-    "column_counts": ("self", "p"),
     "column_counts_all": ("self",),
     "completion_rate": ("self",),
     "depart": ("self", "i"),
@@ -154,3 +156,24 @@ def test_every_public_matrix_member_is_pinned():
 @pytest.mark.parametrize("name", sorted(MATRIX_MEMBERS))
 def test_matrix_member_parameters(name):
     assert _parameters(_matrix_member(name)) == MATRIX_MEMBERS[name]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/spans.py wraps public names it looks up at run time, so a
+    # removed or renamed one would break only a traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up there
+    spec.loader.exec_module(spans)
+    # "matrix" targets are AttitudeMatrix methods
+    owners = [(AttitudeMatrix if layer == "matrix" else sys.modules[f"delib.{layer}"], attr)
+              for layer, attr, _ in spans.TARGETS]
+    originals = [getattr(owner, attr) for owner, attr in owners]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert [getattr(owner, attr) is not fn for (owner, attr), fn in zip(owners, originals)] == [True] * len(owners)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr in owners] == originals

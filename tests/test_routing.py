@@ -5,6 +5,7 @@ from delib import (
     Attitude,
     AttitudeMatrix,
     ElicitationWeights,
+    IdentityError,
     MixtureComponent,
     ParameterError,
     PopulationConfig,
@@ -89,6 +90,13 @@ def test_estimator_consistency_over_seeds():
         est = estimate_support(m, 0)
         hits += abs(est.mean - q) < 0.05
     assert hits / trials >= 0.99
+
+
+@pytest.mark.parametrize("p", [-1, 2, 5])
+def test_estimate_refuses_an_unknown_idea(p):
+    m = AttitudeMatrix.from_dense([[1, 0], [None, 1]])
+    with pytest.raises(IdentityError, match=f"unknown idea {p}"):
+        estimate_support(m, p)
 
 
 # -- uniform plans ----------------------------------------------------------------

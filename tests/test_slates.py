@@ -27,7 +27,9 @@ from delib import (
 from delib import slates
 from delib.slates import (
     ENUMERATION_CAP,
+    _solve_slate,
     exact_order_and_score,
+    greedy_order,
     harmonic_table,
     score_from_approvals,
 )
@@ -238,6 +240,34 @@ def test_exact_capacity_error_names_cap():
     m = from_approvals([set()], 40)
     with pytest.raises(CapacityError, match="1000000"):
         exact_slate(m, 20, H)
+
+
+def test_harmonic_table_starts_at_zero():
+    assert harmonic_table(0).tolist() == [0.0]
+    assert harmonic_table(3).tolist() == pytest.approx([0.0, 1.0, 1.5, 11 / 6])
+
+
+@pytest.mark.parametrize("m, k, solver, used_exact", [
+    (6, 3, "auto", True),  # C(6, 3) = 20 subsets fit the cap
+    (7, 7, "auto", True),
+    (7, 9, "auto", True),
+    (7, 3, "auto", False),  # C(7, 3) = 35 do not
+    (6, 3, "greedy", False),
+    (4, 2, "exact", True),
+])
+def test_solver_choice_follows_the_enumeration_cap(monkeypatch, m, k, solver, used_exact):
+    monkeypatch.setattr(slates, "ENUMERATION_CAP", comb(6, 3))
+    approvals = np.random.default_rng(m * 10 + k).random((12, m)) < 0.5
+    ids, score, exact = _solve_slate(approvals, k, H, solver)
+    assert exact is used_exact
+    if used_exact:
+        assert (ids, score) == exact_order_and_score(approvals, k, H)
+    else:
+        assert ids == tuple(sorted(greedy_order(approvals, k, H)[0]))
+        assert score == score_from_approvals(approvals, ids, H)
+    if solver == "auto" and not used_exact:
+        with pytest.raises(CapacityError):
+            _solve_slate(approvals, k, H, "exact")
 
 
 @pytest.mark.parametrize("k", [0, -1])
